@@ -17,7 +17,7 @@ When ``kexpr`` is present its evaluation must reproduce ``n`` and
 ``edges`` vertex-for-vertex; evaluated vertex ids follow leaf order in
 a depth-first traversal of the expression.  Results are emitted as one
 JSON document on stdout.  Exit codes: 0 success, 1 infeasible decision
-(or failed check), 2 input error.
+(or failed check), 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .graphs import Graph, Instance, is_forest, is_tree, random_tree, simulate
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InstanceError(ValueError):
@@ -285,37 +286,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         thresholds = tuple(
             instance.thresholds[to_instance[v]] for v in range(instance.graph.n)
         )
-        if variant == "lba":
-            solver = cliquewidth.CliqueWidthSolver(
-                expression, thresholds, instance.latency
-            )
-            selection = solver.select(instance.budget, instance.requirement)
-            feasible = selection is not None
-        elif variant == "lbA":
-            mapped_targets = {to_expr[v] for v in instance.targets}
-            selection = cliquewidth.select_targets(
-                expression,
-                thresholds,
-                instance.latency,
-                instance.budget,
-                mapped_targets,
-            )
-            feasible = selection is not None
-        else:
-            # minimize over budgets: smallest budget whose decision holds
-            mapped_targets = {to_expr[v] for v in instance.targets}
-            selection = None
+        solver = cliquewidth.CliqueWidthSolver(
+            expression,
+            thresholds,
+            instance.latency,
+            {to_expr[v] for v in instance.targets or ()},
+        )
+        if variant == "lA":
+            # smallest budget whose scan succeeds; the memo carries over
             for budget in range(instance.graph.n + 1):
-                selection = cliquewidth.select_targets(
-                    expression,
-                    thresholds,
-                    instance.latency,
-                    budget,
-                    mapped_targets,
-                )
+                selection = solver.select(budget)
                 if selection is not None:
                     break
-            feasible = selection is not None
+        else:
+            selection = solver.select(instance.budget, instance.requirement or 0)
+        feasible = selection is not None
         if selection is not None:
             selection = frozenset(to_instance[v] for v in selection)
 
@@ -551,6 +536,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InstanceError, kexpr.KExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a fault of the program, never to be read as "infeasible"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

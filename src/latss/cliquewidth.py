@@ -11,12 +11,26 @@ matrices ``(counts, reductions)``:
 
 A query is satisfiable iff H admits a monotone process S[0] ⊆ ... ⊆
 S[latency] that activates exactly the demanded per-label counts each
-round under the reduced thresholds.  Satisfiability recurses over the
-four node kinds; queries are evaluated top-down with per-node
-memoization, so only pairs reachable from the root are ever computed.
-The root is queried with the all-zero reduction matrix only, where the
-process coincides with the real cascade and row sums translate directly
-into seed budgets and activation totals.
+round under the reduced thresholds, and that activates every target
+vertex of H.  The target set is fixed per solver and enters as a leaf
+constraint: a target leaf must activate at some round.  Each node keeps
+the number of targets per label class beside the class sizes, and a
+query whose column sum falls outside those two bounds is rejected
+before it is expanded.  Because the targets never change, one memo
+serves every budget and requirement asked of a solver, and the
+expression keeps its width k.
+
+Satisfiability is evaluated top-down over the four node kinds with
+per-node memoization and an explicit stack, so deep expressions do not
+reach the interpreter's recursion limit; only pairs reachable from the
+root are ever computed.  The root is queried with the all-zero
+reduction matrix only, where the process coincides with the real
+cascade: row sums translate directly into seed budgets and activation
+totals, and each column is bounded below by the number of targets in
+that root label class.  A real cascade never resumes after a round
+i >= 1 that activates nothing, so the root scan fixes every row after
+such a round to zero.  Row 0 is exempt: threshold-0 vertices fire at
+round 1 without seeds.
 
 Reduction entries are clamped at the largest threshold: any value at or
 above every threshold behaves identically in the activation rule, so
@@ -42,17 +56,13 @@ from .kexpr import (
     _postorder,
     check_irredundant,
     evaluate,
-    lift_targets,
+    lift_targets,  # unused here; perfbench/tracing.py rebinds it by this name
     validate,
     width,
 )
 
 CountMatrix = tuple[tuple[int, ...], ...]
 ReductionMatrix = tuple[tuple[int, ...], ...]
-
-
-def zero_counts(latency: int, k: int) -> CountMatrix:
-    return tuple((0,) * k for _ in range(latency + 1))
 
 
 def zero_reductions(latency: int, k: int) -> ReductionMatrix:
@@ -124,16 +134,33 @@ def verify_schedule(
     return True
 
 
+def _add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _rename(row: tuple[int, ...], la: int, lb: int) -> tuple[int, ...]:
+    """Per-label counts after relabelling class ``la`` into class ``lb``."""
+    merged = list(row)
+    merged[lb] += merged[la]
+    merged[la] = 0
+    return tuple(merged)
+
+
 class CliqueWidthSolver:
-    """Memoized query evaluator over one expression/thresholds/latency triple.
+    """Memoized query evaluator over one expression/thresholds/latency/targets.
 
     Reuse a single instance when asking many budget/requirement
     combinations about the same instance: the memo tables are shared
-    across calls.
+    across calls.  ``targets`` are evaluated vertex ids that every
+    satisfiable query must activate.
     """
 
     def __init__(
-        self, expr: KExpr, thresholds: Sequence[int], latency: int
+        self,
+        expr: KExpr,
+        thresholds: Sequence[int],
+        latency: int,
+        targets: Iterable[int] = (),
     ) -> None:
         validate(expr)
         violations = check_irredundant(expr)
@@ -148,12 +175,19 @@ class CliqueWidthSolver:
         self.thresholds = normalize_thresholds(
             self.labeled.graph, thresholds
         )
+        self.targets = frozenset(targets)
+        for v in self.targets:
+            if not 0 <= v < self.labeled.graph.n:
+                raise ValueError(f"target vertex {v} out of range")
         self.rcap = max(self.thresholds, default=0)
         self._name_to_vid = {
             name: v for v, name in enumerate(self.labeled.names)
         }
+        self._zero = zero_reductions(latency, self.k)
         self._build_nodes()
         self._memo: list[dict] = [{} for _ in self._kind]
+        # column splits by (column, lo, hi), shared by union and rho nodes
+        self._splits: dict = {}
 
     # -- expression-tree tables ------------------------------------------
 
@@ -163,45 +197,43 @@ class CliqueWidthSolver:
         kind: list[str] = []
         info: list[tuple] = []
         label_counts: list[tuple[int, ...]] = []
+        target_counts: list[tuple[int, ...]] = []
         stack: list[int] = []
         vid = 0
         for idx, node in enumerate(post):
             if isinstance(node, Leaf):
                 kind.append("leaf")
                 info.append((vid, node.label - 1))
-                one_hot = [0] * k
-                one_hot[node.label - 1] = 1
-                label_counts.append(tuple(one_hot))
+                one_hot = tuple(int(l == node.label - 1) for l in range(k))
+                label_counts.append(one_hot)
+                target_counts.append(one_hot if vid in self.targets else (0,) * k)
                 vid += 1
             elif isinstance(node, Union):
                 right = stack.pop()
                 left = stack.pop()
                 kind.append("union")
                 info.append((left, right))
-                label_counts.append(
-                    tuple(
-                        x + y
-                        for x, y in zip(label_counts[left], label_counts[right])
-                    )
-                )
+                label_counts.append(_add(label_counts[left], label_counts[right]))
+                target_counts.append(_add(target_counts[left], target_counts[right]))
             elif isinstance(node, Eta):
                 child = stack.pop()
                 kind.append("eta")
                 info.append((child, node.a - 1, node.b - 1))
                 label_counts.append(label_counts[child])
+                target_counts.append(target_counts[child])
             else:
                 child = stack.pop()
+                la, lb = node.a - 1, node.b - 1
                 kind.append("rho")
-                info.append((child, node.a - 1, node.b - 1))
-                merged = list(label_counts[child])
-                merged[node.b - 1] += merged[node.a - 1]
-                merged[node.a - 1] = 0
-                label_counts.append(tuple(merged))
+                info.append((child, la, lb))
+                label_counts.append(_rename(label_counts[child], la, lb))
+                target_counts.append(_rename(target_counts[child], la, lb))
             stack.append(idx)
         self._nodes = post
         self._kind = kind
         self._info = info
         self._label_counts = label_counts
+        self._target_counts = target_counts
         self.root_index = len(post) - 1
 
     @property
@@ -234,53 +266,63 @@ class CliqueWidthSolver:
                 if value:
                     yield idx, counts, reds
 
-    # -- the recursion ----------------------------------------------------
+    # -- query evaluation -------------------------------------------------
 
     def _gamma(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
-        memo = self._memo[node]
-        key = (counts, reds)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        caps = self._label_counts[node]
-        for l in range(self.k):
-            if sum(row[l] for row in counts) > caps[l]:
-                memo[key] = False
-                return False
-        kind = self._kind[node]
-        result: tuple | bool = False
-        if kind == "leaf":
-            result = self._gamma_leaf(node, counts, reds)
-        elif kind == "union":
-            left, right = self._info[node]
-            for counts1, counts2 in self._union_splits(counts, left, right):
-                if self._gamma(left, counts1, reds) and self._gamma(
-                    right, counts2, reds
-                ):
-                    result = ("union", counts1, counts2)
-                    break
-        elif kind == "eta":
-            child, la, lb = self._info[node]
-            reds1 = self._eta_reductions(counts, reds, la, lb)
-            if self._gamma(child, counts, reds1):
-                result = ("eta", reds1)
-        else:
-            child, la, lb = self._info[node]
-            if all(row[la] == 0 for row in counts):
-                reds1 = tuple(
-                    tuple(
-                        row[lb] if l == la else row[l] for l in range(self.k)
-                    )
-                    for row in reds
+        """Witness of a query at a node, or False.
+
+        Union, eta and rho nodes are expanded by :meth:`_expand`, a
+        generator that yields the child queries of each alternative in
+        turn and is sent back their values; a stack of these frames
+        replaces recursion.
+        """
+        value = self._settle(node, counts, reds)
+        if value is not None:
+            return value
+        memo = self._memo
+        stack = [(memo[node], (counts, reds), self._expand(node, counts, reds))]
+        while stack:
+            table, key, frame = stack[-1]
+            try:
+                child, counts, reds = frame.send(value)
+            except StopIteration as done:
+                value = table[key] = done.value
+                stack.pop()
+                continue
+            value = self._settle(child, counts, reds)
+            if value is None:
+                stack.append(
+                    (memo[child], (counts, reds), self._expand(child, counts, reds))
                 )
-                for counts1 in self._rho_splits(counts, child, la, lb):
-                    if self._gamma(child, counts1, reds1):
-                        result = ("rho", counts1, reds1)
-                        break
-        memo[key] = result
-        return result
+        return value
+
+    def _settle(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
+        """The value of a query when known without its children, else None.
+
+        That is a memo hit, a column sum outside the node's bounds (at
+        least its targets, at most its class size), or a leaf.
+        """
+        table = self._memo[node]
+        key = (counts, reds)
+        value = table.get(key)
+        if value is not None:
+            return value
+        for total, lo, hi in zip(
+            map(sum, zip(*counts)),
+            self._target_counts[node],
+            self._label_counts[node],
+        ):
+            if not lo <= total <= hi:
+                table[key] = False
+                return False
+        if self._kind[node] == "leaf":
+            value = table[key] = self._gamma_leaf(node, counts, reds)
+            return value
+        return None
 
     def _gamma_leaf(self, node, counts, reds):
+        # a target leaf never gets here with total 0: its column's lower
+        # bound in _settle is 1
         vid, l0 = self._info[node]
         t = self.thresholds[vid]
         total = sum(row[l0] for row in counts)
@@ -297,6 +339,27 @@ class CliqueWidthSolver:
         )
         return ("leaf", istar) if fires == istar else False
 
+    def _expand(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
+        """Frame of an inner node: yields child queries, returns the witness."""
+        kind = self._kind[node]
+        if kind == "union":
+            left, right = self._info[node]
+            for counts1, counts2 in self._union_splits(counts, left, right):
+                if (yield left, counts1, reds) and (yield right, counts2, reds):
+                    return ("union", counts1, counts2)
+            return False
+        child, la, lb = self._info[node]
+        if kind == "eta":
+            reds1 = self._eta_reductions(counts, reds, la, lb)
+            return ("eta", reds1) if (yield child, counts, reds1) else False
+        # rho: class la is empty after the rename, so _settle's bounds
+        # check has already made column la zero
+        reds1 = tuple(row[:la] + (row[lb],) + row[la + 1 :] for row in reds)
+        for counts1 in self._rho_splits(counts, child, la, lb):
+            if (yield child, counts1, reds1):
+                return ("rho", counts1, reds1)
+        return False
+
     def _eta_reductions(self, counts, reds, la, lb):
         rcap = self.rcap
         out = []
@@ -312,118 +375,117 @@ class CliqueWidthSolver:
             out.append(tuple(row))
         return tuple(out)
 
-    def _union_splits(self, counts, left, right):
-        rows = self.latency + 1
-        k = self.k
-        caps_l = self._label_counts[left]
-        caps_r = self._label_counts[right]
-        per_col = []
-        for l in range(k):
-            col = tuple(counts[i][l] for i in range(rows))
-            total = sum(col)
-            lo = max(0, total - caps_r[l])
-            hi = min(total, caps_l[l])
-            if lo > hi:
-                return
-            options = [
-                split
-                for split in product(*(range(c + 1) for c in col))
-                if lo <= sum(split) <= hi
+    def _column_splits(self, col, lo, hi):
+        """Ways to split a column in two, the first part summing into [lo, hi]."""
+        key = (col, lo, hi)
+        found = self._splits.get(key)
+        if found is None:
+            found = self._splits[key] = [
+                (part, tuple(c - x for c, x in zip(col, part)))
+                for part in product(*(range(c + 1) for c in col))
+                if lo <= sum(part) <= hi
             ]
+        return found
+
+    def _union_splits(self, counts, left, right):
+        per_col = []
+        for col, cap_l, cap_r, need_l, need_r in zip(
+            zip(*counts),
+            self._label_counts[left],
+            self._label_counts[right],
+            self._target_counts[left],
+            self._target_counts[right],
+        ):
+            total = sum(col)
+            options = self._column_splits(
+                col, max(need_l, total - cap_r), min(cap_l, total - need_r)
+            )
+            if not options:
+                return
             per_col.append(options)
         for combo in product(*per_col):
-            counts1 = tuple(
-                tuple(combo[l][i] for l in range(k)) for i in range(rows)
+            yield (
+                tuple(zip(*(part for part, _ in combo))),
+                tuple(zip(*(rest for _, rest in combo))),
             )
-            counts2 = tuple(
-                tuple(counts[i][l] - counts1[i][l] for l in range(k))
-                for i in range(rows)
-            )
-            yield counts1, counts2
 
     def _rho_splits(self, counts, child, la, lb):
-        rows = self.latency + 1
-        k = self.k
         cap_a = self._label_counts[child][la]
         cap_b = self._label_counts[child][lb]
-        merged = [counts[i][lb] for i in range(rows)]
-        for to_a in product(*(range(c + 1) for c in merged)):
-            if sum(to_a) > cap_a:
-                continue
-            if sum(merged) - sum(to_a) > cap_b:
-                continue
-            yield tuple(
-                tuple(
-                    to_a[i]
-                    if l == la
-                    else (merged[i] - to_a[i] if l == lb else counts[i][l])
-                    for l in range(k)
-                )
-                for i in range(rows)
-            )
+        need_a = self._target_counts[child][la]
+        need_b = self._target_counts[child][lb]
+        cols = list(zip(*counts))
+        total = sum(cols[lb])
+        for part, rest in self._column_splits(
+            cols[lb], max(need_a, total - cap_b), min(cap_a, total - need_b)
+        ):
+            cols[la] = part
+            cols[lb] = rest
+            yield tuple(zip(*cols))
 
     # -- root-side scanning -------------------------------------------------
 
-    def _root_counts(
-        self,
-        seed_cap: int | None = None,
-        min_total: int | None = None,
-        target_cols: Sequence[int] = (),
-        target_exact: int | None = None,
-    ) -> Iterator[CountMatrix]:
-        """All admissible root count matrices, in lexicographic (row-major) order.
+    def _root_counts(self, seed_cap: int, min_total: int) -> Iterator[CountMatrix]:
+        """Admissible root count matrices, in lexicographic (row-major) order.
 
-        Column sums are bounded by the root's label-class sizes; the
-        optional arguments prune on the seed-row total, the grand total,
-        and an exact total over the given columns.
+        Each column sum lies between the targets and the size of its
+        root label class; the seed row sums to at most ``seed_cap`` and
+        the whole matrix to at least ``min_total``.  A row i >= 1 that
+        sums to zero ends the cascade, so every later row is zero.
         """
-        caps = self._label_counts[self.root_index]
+        root = self.root_index
         rows = self.latency + 1
-        k = self.k
-        tset = frozenset(target_cols)
-        cur = [[0] * k for _ in range(rows)]
-        used = [0] * k
+        zero_row = (0,) * self.k
 
-        def capacity(cols: Iterable[int]) -> int:
-            return sum(caps[l] - used[l] for l in cols)
+        def options(i, left, need):
+            if i == 0:
+                left = [min(c, seed_cap) for c in left]
+            if i < rows - 1:
+                need = zero_row
+            return product(*(range(n, c + 1) for n, c in zip(need, left)))
 
-        def rec(cell: int, seed_used: int, total_used: int, target_used: int):
-            if cell == rows * k:
-                if target_exact is not None and target_used != target_exact:
+        # the rows fixed so far, and for each the state before it: its
+        # remaining options, the unused class sizes, the unmet targets
+        # and the total activated by the rows above it
+        matrix: list[tuple[int, ...]] = []
+        saved: list[tuple] = []
+        left = self._label_counts[root]
+        need = self._target_counts[root]
+        total = 0
+        rest = options(0, left, need)
+        while True:
+            row = next(rest, None)
+            if row is None:
+                if not saved:
                     return
-                if min_total is not None and total_used < min_total:
-                    return
-                yield tuple(tuple(row) for row in cur)
-                return
-            i, l = divmod(cell, k)
-            cap = caps[l] - used[l]
-            if seed_cap is not None and i == 0:
-                cap = min(cap, seed_cap - seed_used)
-            if target_exact is not None and l in tset:
-                cap = min(cap, target_exact - target_used)
-            for val in range(cap + 1):
-                cur[i][l] = val
-                used[l] += val
-                if min_total is None or total_used + val + capacity(
-                    range(k)
-                ) >= min_total:
-                    if (
-                        target_exact is None
-                        or target_used
-                        + (val if l in tset else 0)
-                        + capacity(tset)
-                        >= target_exact
-                    ):
-                        yield from rec(
-                            cell + 1,
-                            seed_used + (val if i == 0 else 0),
-                            total_used + val,
-                            target_used + (val if l in tset else 0),
-                        )
-                used[l] -= val
-            cur[i][l] = 0
+                rest, left, need, total = saved.pop()
+                matrix.pop()
+                continue
+            i = len(matrix)
+            active = sum(row)
+            if i == 0 and active > seed_cap:
+                continue
+            if i == rows - 1 or (i and not active):
+                if total + active >= min_total and all(
+                    x >= n for x, n in zip(row, need)
+                ):
+                    yield (*matrix, row, *(zero_row,) * (rows - 1 - i))
+                continue
+            saved.append((rest, left, need, total))
+            matrix.append(row)
+            left = tuple(c - x for c, x in zip(left, row))
+            need = tuple(max(0, n - x) for n, x in zip(need, row))
+            total += active
+            rest = options(i + 1, left, need)
 
-        yield from rec(0, 0, 0, 0)
+    def _scan(self, budget: int, requirement: int) -> CountMatrix | None:
+        """The first satisfiable root count matrix, or None."""
+        root = self.root_index
+        zero = self._zero
+        for counts in self._root_counts(budget, requirement):
+            if self._gamma(root, counts, zero):
+                return counts
+        return None
 
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
@@ -439,27 +501,22 @@ class CliqueWidthSolver:
             if any(x < 0 for x in row):
                 raise ValueError("matrix entries must be non-negative")
 
-    def decide(self, budget: int, requirement: int) -> bool:
-        """Is there a seed set within budget activating at least the requirement?"""
-        zero = zero_reductions(self.latency, self.k)
-        for counts in self._root_counts(seed_cap=budget, min_total=requirement):
-            if self._gamma(self.root_index, counts, zero):
-                return True
-        return False
+    def decide(self, budget: int, requirement: int = 0) -> bool:
+        """Can at most budget seeds activate the requirement and every target?"""
+        return self._scan(budget, requirement) is not None
 
-    def select(self, budget: int, requirement: int) -> frozenset[int] | None:
+    def select(self, budget: int, requirement: int = 0) -> frozenset[int] | None:
         """A witness seed set for :meth:`decide`, or None when infeasible."""
-        zero = zero_reductions(self.latency, self.k)
-        for counts in self._root_counts(seed_cap=budget, min_total=requirement):
-            if self._gamma(self.root_index, counts, zero):
-                process = self.reconstruct(counts, zero)
-                seeds = process[0]
-                final = simulate(
-                    self.labeled.graph, self.thresholds, seeds, self.latency
-                ).final
-                assert len(seeds) <= budget and len(final) >= requirement
-                return seeds
-        return None
+        counts = self._scan(budget, requirement)
+        if counts is None:
+            return None
+        seeds = self.reconstruct(counts, self._zero)[0]
+        final = simulate(
+            self.labeled.graph, self.thresholds, seeds, self.latency
+        ).final
+        assert len(seeds) <= budget and len(final) >= requirement
+        assert self.targets <= final
+        return seeds
 
     def reconstruct(
         self,
@@ -474,28 +531,33 @@ class CliqueWidthSolver:
         """
         if node is None:
             node = self.root_index
-        witness = self._gamma(node, counts, reductions)
-        if not witness:
+        if not self._gamma(node, counts, reductions):
             raise ValueError("query is not satisfiable; nothing to reconstruct")
-        kind = witness[0]
-        if kind == "leaf":
-            vid = self._info[node][0]
-            istar = witness[1]
-            if istar is None:
-                return [frozenset()] * (self.latency + 1)
-            return [
-                frozenset({vid}) if i >= istar else frozenset()
-                for i in range(self.latency + 1)
-            ]
-        if kind == "union":
-            left, right = self._info[node]
-            p1 = self.reconstruct(witness[1], reductions, left)
-            p2 = self.reconstruct(witness[2], reductions, right)
-            return [a | b for a, b in zip(p1, p2)]
-        child = self._info[node][0]
-        if kind == "eta":
-            return self.reconstruct(counts, witness[1], child)
-        return self.reconstruct(witness[1], witness[2], child)
+        # every query a witness names was evaluated satisfiable, so the
+        # walk below only reads memo entries
+        fresh: list[list[int]] = [[] for _ in range(self.latency + 1)]
+        stack = [(node, counts, reductions)]
+        while stack:
+            node, counts, reds = stack.pop()
+            witness = self._memo[node][(counts, reds)]
+            kind = witness[0]
+            if kind == "leaf":
+                if witness[1] is not None:
+                    fresh[witness[1]].append(self._info[node][0])
+            elif kind == "union":
+                left, right = self._info[node]
+                stack.append((left, witness[1], reds))
+                stack.append((right, witness[2], reds))
+            elif kind == "eta":
+                stack.append((self._info[node][0], counts, witness[1]))
+            else:
+                stack.append((self._info[node][0], witness[1], witness[2]))
+        process = []
+        active: frozenset[int] = frozenset()
+        for round_fresh in fresh:
+            active = active.union(round_fresh)
+            process.append(active)
+        return process
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +588,6 @@ def select(
     )
 
 
-def _lifted_solver(
-    expr: KExpr,
-    thresholds: Sequence[int],
-    latency: int,
-    targets: Iterable[int],
-) -> tuple[CliqueWidthSolver, tuple[int, ...], int]:
-    base_k = width(expr)
-    labeled = evaluate(expr)
-    target_set = frozenset(targets)
-    for v in target_set:
-        if not 0 <= v < labeled.graph.n:
-            raise ValueError(f"target vertex {v} out of range")
-    names = {labeled.names[v] for v in target_set}
-    lifted = lift_targets(expr, names, base_k)
-    solver = CliqueWidthSolver(lifted, thresholds, latency)
-    distinguished = tuple(range(base_k, solver.k))
-    return solver, distinguished, len(target_set)
-
-
 def decide_targets(
     expr: KExpr,
     thresholds: Sequence[int],
@@ -554,19 +597,11 @@ def decide_targets(
 ) -> bool:
     """Can every target be activated within latency using at most budget seeds?
 
-    Runs the same recursion on the lifted expression, whose labels above
-    the original width carry exactly the target vertices; a root count
-    matrix is accepted when its seed row stays within budget and its
-    distinguished columns sum to the number of targets.
+    Builds a solver whose leaf constraint makes every target vertex
+    activate, and scans root count matrices with a seed row within
+    budget and each column at least the targets of its label class.
     """
-    solver, tcols, count = _lifted_solver(expr, thresholds, latency, targets)
-    zero = zero_reductions(solver.latency, solver.k)
-    for counts in solver._root_counts(
-        seed_cap=budget, target_cols=tcols, target_exact=count
-    ):
-        if solver._gamma(solver.root_index, counts, zero):
-            return True
-    return False
+    return CliqueWidthSolver(expr, thresholds, latency, targets).decide(budget)
 
 
 def select_targets(
@@ -577,18 +612,4 @@ def select_targets(
     targets: Iterable[int],
 ) -> frozenset[int] | None:
     """A witness seed set for :func:`decide_targets`, or None."""
-    solver, tcols, count = _lifted_solver(expr, thresholds, latency, targets)
-    target_set = frozenset(targets)
-    zero = zero_reductions(solver.latency, solver.k)
-    for counts in solver._root_counts(
-        seed_cap=budget, target_cols=tcols, target_exact=count
-    ):
-        if solver._gamma(solver.root_index, counts, zero):
-            process = solver.reconstruct(counts, zero)
-            seeds = process[0]
-            final = simulate(
-                solver.labeled.graph, solver.thresholds, seeds, latency
-            ).final
-            assert len(seeds) <= budget and target_set <= final
-            return seeds
-    return None
+    return CliqueWidthSolver(expr, thresholds, latency, targets).select(budget)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from latss import cliquewidth
 from latss.cli import document_to_instance, load_instance, main
 from latss.cli import InstanceError
 
@@ -183,6 +184,45 @@ class TestSolveCommand:
             code, out = run(capsys, ["solve", "--method", method, "--instance", path])
             answers[method] = (code, out["feasible"], out["size"])
         assert answers["brute"] == answers["cwd"] == (0, True, 1)
+
+    def test_targets_only_cwd_builds_one_solver(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = cliquewidth.CliqueWidthSolver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cliquewidth.CliqueWidthSolver, "__init__", counting_init)
+        code, doc = run(capsys, ["gen", "path", "--n", "6", "--latency", "2"])
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0 and out["variant"] == "lA" and out["size"] == 2
+        assert len(built) == 1
+
+    def test_deep_expression_solves(self, capsys, tmp_path):
+        # a 400-vertex path nests its expression about 1,200 levels deep
+        code, doc = run(capsys, ["gen", "path", "--n", "400", "--latency", "1"])
+        doc.pop("targets")
+        doc["budget"] = 0
+        doc["alpha"] = 0
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0
+        assert out["feasible"] and out["target_set"] == []
+        assert out["round_sizes"] == [0, 0]
+
+    def test_internal_error_exits_three(self, capsys, tmp_path, monkeypatch):
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cliquewidth.CliqueWidthSolver, "select", broken)
+        path = write(tmp_path, P3_DOC)
+        code = main(["solve", "--method", "cwd", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "internal error: RuntimeError: injected" in captured.err
 
     def test_output_roundtrips(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)

@@ -22,7 +22,7 @@ from latss.kexpr import (
     star_expression,
     tree_expression,
 )
-from latss.oracle import brute_decision, brute_select_targets
+from latss.oracle import brute_decision, brute_min_target, brute_select_targets
 
 from strategies import random_expression
 
@@ -80,6 +80,11 @@ class TestLeafQueries:
         s = solver_for("1(u)", (1,), 1)
         assert not s.query(((0,), (1,)), ((0,),))
         assert s.query(((0,), (1,)), ((1,),))
+
+    def test_target_leaf_must_activate(self):
+        s = CliqueWidthSolver(parse("1(u)"), (1,), 1, {0})
+        assert not s.query(((0,), (0,)), ((0,),))
+        assert s.query(((1,), (0,)), ((0,),))
 
     def test_activation_at_first_qualifying_round_only(self):
         s = solver_for("1(u)", (1,), 2)
@@ -262,6 +267,65 @@ class TestTargetVariant:
                     assert verify_solution(inst, chosen)
 
 
+class TestStallPruning:
+    """The root scan at latency n, where most rounds must stay empty."""
+
+    def instances(self, seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            if i % 2:
+                expr = random_expression(rng, max_vertices=6, k=3)
+            else:
+                expr = tree_expression(random_tree(rng.randint(1, 6), rng))
+            lg = evaluate(expr)
+            # threshold 0 fires at round 1 without seeds: row 0 may be empty
+            thr = tuple(
+                rng.randint(0, lg.graph.degree(v) + 1) for v in range(lg.graph.n)
+            )
+            targets = {v for v in range(lg.graph.n) if rng.random() < 0.5}
+            yield expr, lg.graph, thr, targets
+
+    def test_decisions_match_brute_force(self):
+        for expr, graph, thr, _ in self.instances(51, 16):
+            n = graph.n
+            solver = CliqueWidthSolver(expr, thr, n)
+            for budget in range(n + 1):
+                for req in range(n + 1):
+                    want, _ = brute_decision(graph, thr, n, budget, req)
+                    assert solver.decide(budget, req) == want
+
+    def test_targets_match_brute_force(self):
+        for expr, graph, thr, targets in self.instances(53, 16):
+            n = graph.n
+            solver = CliqueWidthSolver(expr, thr, n, targets)
+            smallest = len(brute_min_target(graph, thr, n, targets))
+            for budget in range(n + 1):
+                want = brute_select_targets(graph, thr, n, budget, targets)
+                assert (want is not None) == (budget >= smallest)
+                chosen = solver.select(budget)
+                assert (chosen is not None) == (want is not None)
+                if chosen is not None:
+                    inst = Instance(graph, thr, n, budget=budget, targets=targets)
+                    assert verify_solution(inst, chosen)
+
+    def test_no_root_query_resumes_after_an_empty_round(self):
+        for expr, graph, thr, targets in self.instances(57, 8):
+            n = graph.n
+            solver = CliqueWidthSolver(expr, thr, n, targets)
+            for budget in range(n + 1):
+                solver.decide(budget)
+            for counts, _ in solver.queries(solver.root_index):
+                empty = [i for i in range(1, n + 1) if not any(counts[i])]
+                if empty:
+                    assert not any(map(any, counts[empty[0] :]))
+
+    def test_threshold_zero_fires_without_seeds(self):
+        expr = path_expression(3)
+        solver = CliqueWidthSolver(expr, (1, 0, 1), 3)
+        assert solver.decide(0, 3)
+        assert solver.select(0, 3) == frozenset()
+
+
 class TestWitnesses:
     def test_reconstruction_is_sound_everywhere(self):
         rng = random.Random(41)
@@ -283,6 +347,28 @@ class TestWitnesses:
                 ]
                 assert verify_schedule(local, local_thr, counts, reds, mapped)
 
+    def test_reconstruction_with_targets_activates_them(self):
+        rng = random.Random(43)
+        for _ in range(15):
+            expr = random_expression(rng, max_vertices=5, k=3)
+            lg = evaluate(expr)
+            n = lg.graph.n
+            thr = tuple(rng.randint(0, lg.graph.degree(v) + 1) for v in range(n))
+            lam = rng.randint(0, 2)
+            targets = {v for v in range(n) if rng.random() < 0.5}
+            solver = CliqueWidthSolver(expr, thr, lam, targets)
+            for budget in range(n + 1):
+                for req in range(n + 1):
+                    solver.decide(budget, req)
+            for node, counts, reds in solver.witnessed_entries():
+                process = solver.reconstruct(counts, reds, node)
+                local, local_thr, to_local = solver.subgraph(node)
+                mapped = [
+                    frozenset(to_local[v] for v in stage) for stage in process
+                ]
+                assert verify_schedule(local, local_thr, counts, reds, mapped)
+                assert {v for v in targets if v in to_local} <= process[-1]
+
     def test_reconstruct_rejects_unsatisfiable(self):
         solver = solver_for("1(u)", (1,), 1)
         with pytest.raises(ValueError, match="not satisfiable"):
@@ -298,6 +384,10 @@ class TestValidation:
             solver.query(((1,), (0,)), ())
         with pytest.raises(ValueError):
             solver.query(((1, 0), (0, 0)), ((0,),))
+
+    def test_target_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            CliqueWidthSolver(parse("1(u)"), (1,), 1, {1})
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
