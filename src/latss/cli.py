@@ -1,4 +1,4 @@
-"""Command-line front end: instance I/O, solver dispatch, generators, bench.
+"""Command-line front end: instance I/O, solver dispatch, generators.
 
 Instances travel as single JSON documents:
 
@@ -16,8 +16,8 @@ Instances travel as single JSON documents:
 When ``kexpr`` is present its evaluation must reproduce ``n`` and
 ``edges`` vertex-for-vertex; evaluated vertex ids follow leaf order in
 a depth-first traversal of the expression.  Results are emitted as one
-JSON document on stdout.  Exit codes: 0 success, 1 infeasible decision
-(or failed check), 2 input error, 3 internal error.
+compact JSON document and a newline on stdout.  Exit codes: 0 success,
+1 infeasible decision (or failed check), 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from random import Random
 from typing import Any, Sequence
 
 from . import cliquewidth, kexpr, oracle, trees
-from .graphs import Graph, Instance, is_forest, is_tree, random_tree, simulate
+from .graphs import (
+    Graph,
+    Instance,
+    is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
+    is_tree,  # unused here; perfbench/tracing.py rebinds it by this name
+    random_tree,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -126,7 +133,8 @@ def load_instance(path: str) -> tuple[Instance, kexpr.KExpr | None]:
 
 
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    # no indent: an indent makes json fall back to its pure-Python encoder
+    text = json.dumps(doc, separators=(",", ":"))
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -200,32 +208,19 @@ def _result_doc(
     return doc
 
 
-def _tree_for_cwd(instance: Instance) -> kexpr.KExpr:
-    """Fallback expression when the document carries none but is a tree."""
-    if not is_tree(instance.graph):
+def _tree_for_cwd(instance: Instance) -> tuple[kexpr.KExpr, list[int]]:
+    """Fallback expression when the document carries none but is a tree.
+
+    Also returns the instance id of each expression vertex: leaves are
+    named after instance ids, in an order evaluation may permute.
+    """
+    try:
+        expression = kexpr.tree_expression(instance.graph)
+    except ValueError as exc:
         raise InstanceError(
             "cwd method needs a kexpr in the instance (non-tree graph)"
-        )
-    return kexpr.tree_expression(instance.graph)
-
-
-def _cwd_vertex_order(expression: kexpr.KExpr, instance: Instance):
-    """Map instance vertex ids to expression vertex ids and back.
-
-    Documents guarantee id-for-id agreement; the tree fallback names
-    leaves after original ids, which evaluation may permute.
-    """
-    labeled = kexpr.evaluate(expression)
-    if labeled.graph == instance.graph:
-        ident = list(range(instance.graph.n))
-        return labeled, ident, ident
-    to_expr = [0] * instance.graph.n
-    to_instance = [0] * instance.graph.n
-    for vid, name in enumerate(labeled.names):
-        orig = int(name)
-        to_expr[orig] = vid
-        to_instance[vid] = orig
-    return labeled, to_expr, to_instance
+        ) from exc
+    return expression, [int(name) for name in kexpr.leaf_names(expression)]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -243,8 +238,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise InstanceError(
                 "tree method solves the targets-only variant (no budget/alpha)"
             )
-        if not is_forest(instance.graph):
-            raise InstanceError("tree method needs an acyclic graph")
         selection = trees.solve(
             instance.graph,
             instance.thresholds,
@@ -281,8 +274,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             feasible = True
     else:  # cwd
         if expression is None:
-            expression = _tree_for_cwd(instance)
-        labeled, to_expr, to_instance = _cwd_vertex_order(expression, instance)
+            expression, to_instance = _tree_for_cwd(instance)
+        else:
+            # document_to_instance matched the expression id-for-id
+            to_instance = list(range(instance.graph.n))
+        to_expr = [0] * len(to_instance)
+        for vid, orig in enumerate(to_instance):
+            to_expr[orig] = vid
         thresholds = tuple(
             instance.thresholds[to_instance[v]] for v in range(instance.graph.n)
         )
@@ -440,38 +438,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.benchmark != "scaling":
-        raise InstanceError(f"unknown benchmark {args.benchmark!r}")
-    sizes = _csv_ints(args.sizes, "sizes")
-    if not sizes or any(n < 2 for n in sizes):
-        raise InstanceError("sizes must be integers >= 2")
-    times = []
-    for n in sizes:
-        graph = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        thresholds = (1,) * n
-        targets = set(range(n))
-        start = time.perf_counter()
-        selection = trees.solve(graph, thresholds, n, targets)
-        elapsed = time.perf_counter() - start
-        times.append(elapsed)
-        assert selection  # a path with unit thresholds needs one seed
-    ratios = [
-        times[i] / times[i - 1] if times[i - 1] > 0 else None
-        for i in range(1, len(times))
-    ]
-    _emit(
-        {
-            "command": "bench.scaling",
-            "sizes": sizes,
-            "wall_times_s": times,
-            "ratios": ratios,
-        },
-        args.output,
-    )
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -511,11 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--latency", type=int)
     p_gen.add_argument("--output")
 
-    p_bench = sub.add_parser("bench", help="timing experiments")
-    p_bench.add_argument("benchmark", choices=["scaling"])
-    p_bench.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p_bench.add_argument("--output")
-
     return parser
 
 
@@ -524,7 +485,6 @@ _DISPATCH = {
     "solve": _cmd_solve,
     "kexpr": _cmd_kexpr,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -54,7 +54,7 @@ from .kexpr import (
     Leaf,
     Union,
     _postorder,
-    check_irredundant,
+    check_irredundant,  # unused here; perfbench/tracing.py rebinds it by this name
     evaluate,
     lift_targets,  # unused here; perfbench/tracing.py rebinds it by this name
     validate,
@@ -163,15 +163,15 @@ class CliqueWidthSolver:
         targets: Iterable[int] = (),
     ) -> None:
         validate(expr)
-        violations = check_irredundant(expr)
-        if violations:
-            raise IrredundancyError(violations)
+        # one walk evaluates the expression and finds redundant insertions
+        self.labeled = evaluate(expr)
+        if self.labeled.violations:
+            raise IrredundancyError(list(self.labeled.violations))
         if latency < 0:
             raise ValueError("latency must be non-negative")
         self.expr = expr
         self.latency = latency
         self.k = width(expr)
-        self.labeled = evaluate(expr)
         self.thresholds = normalize_thresholds(
             self.labeled.graph, thresholds
         )

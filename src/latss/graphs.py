@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from random import Random
 from typing import Iterable, Sequence
 
@@ -101,6 +102,48 @@ def is_tree(graph: Graph) -> bool:
 
 def is_forest(graph: Graph) -> bool:
     return len(graph.edges) == graph.n - len(connected_components(graph))
+
+
+def root_forest(
+    graph: Graph, root: int = 0
+) -> tuple[list[int | None], list[int], list[int]]:
+    """Root every component of a forest in one breadth-first pass.
+
+    The component of ``root`` is rooted at ``root``, every other
+    component at its smallest vertex.  Returns ``(parent, order,
+    roots)``: ``parent[v]`` is v's parent, or None at a root; ``order``
+    lists every vertex children-first (reverse breadth-first order); and
+    ``roots`` has one root per component, ``root`` first and the others
+    by smallest vertex.  Raises ValueError when the graph has a cycle.
+    """
+    n = graph.n
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range")
+    adjacency = graph.adjacency
+    parent: list[int | None] = [None] * n
+    seen = bytearray(n)
+    order: list[int] = []
+    roots: list[int] = []
+    head = 0
+    for start in chain((root,), range(n)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        roots.append(start)
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = v
+                    order.append(w)
+    # a forest has exactly one edge fewer than vertices per component
+    if len(graph.edges) != n - len(roots):
+        raise ValueError("input graph has a cycle")
+    order.reverse()
+    return parent, order, roots
 
 
 def path_graph(n: int) -> Graph:

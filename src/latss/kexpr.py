@@ -16,17 +16,27 @@ left-to-right depth-first traversal (equivalently: order of appearance
 in the printed text).  All traversals here are iterative, so deeply
 nested expressions — paths with hundreds of thousands of vertices — do
 not hit the interpreter's recursion limit.
+
+The parser takes tokens from one compiled regex as it needs them and
+works out a line and column only when it raises.  :func:`evaluate`,
+:func:`check_irredundant` and :func:`normalize_irredundant` are loops
+over one shared walk that keeps the label classes and the path from the
+root, so each runs in one pass over the expression, near-linear in its
+size plus the edges it produces.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence, Union as TypingUnion
 
-from .graphs import Graph, is_tree
+from .graphs import (
+    Graph,
+    is_tree,  # unused here; perfbench/tracing.py rebinds it by this name
+    root_forest,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,41 +126,13 @@ class IrredundancyViolation:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# scanner / parser
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|->|[(),]|\S")
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'word', '(', ')', ',', '->', 'end'
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    newlines = [i for i, c in enumerate(text) if c == "\n"]
-
-    def position(offset: int) -> tuple[int, int]:
-        line = bisect_right(newlines, offset - 1)
-        start = newlines[line - 1] + 1 if line else 0
-        return line + 1, offset - start + 1
-
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        piece = m.group()
-        line, col = position(m.start())
-        if piece in ("(", ")", ",", "->"):
-            tokens.append(_Token(piece, piece, line, col))
-        elif re.fullmatch(r"[A-Za-z0-9_]+", piece):
-            tokens.append(_Token("word", piece, line, col))
-        else:
-            raise ParseError(f"unexpected character {piece!r}", line, col)
-    end_line, end_col = position(len(text))
-    tokens.append(_Token("end", "", end_line, end_col))
-    return tokens
+# One token per match, told apart by group: a word, a punctuation mark,
+# or any other non-blank character (an error).  Whitespace never matches.
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|(->|[(),])|(\S)")
+_WORD, _PUNCT, _BAD = 1, 2, 3
 
 
 class _Frame:
@@ -168,96 +150,83 @@ def parse(text: str) -> KExpr:
 
     Raises :class:`ParseError` with line/column on bad syntax, duplicate
     vertex names, zero labels, or equal labels in an edge-insertion or
-    rename.
+    rename.  An unexpected character anywhere in the text is reported
+    before any other error.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    matches = _TOKEN_RE.finditer(text)
 
-    def take() -> _Token:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
+    def fail(message: str, offset: int):
+        # the text before offset scanned clean, so the first unexpected
+        # character, if any, lies at or after it
+        for m in _TOKEN_RE.finditer(text, offset):
+            if m.lastindex == _BAD:
+                message, offset = f"unexpected character {m.group()!r}", m.start()
+                break
+        line = text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
-    def expect(kind: str) -> _Token:
-        tok = take()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return tok
+    def take() -> tuple[str, str, int]:
+        """The next token as (kind, text, offset); kind is 'word', 'end' or the mark."""
+        m = next(matches, None)
+        if m is None:
+            return "end", "", len(text)
+        piece = m.group()
+        if m.lastindex == _WORD:
+            return "word", piece, m.start()
+        if m.lastindex == _BAD:
+            fail(f"unexpected character {piece!r}", m.start())
+        return piece, piece, m.start()
+
+    def expect(kind: str) -> None:
+        got, piece, offset = take()
+        if got != kind:
+            fail(f"expected {kind!r}, found {piece or 'end of input'!r}", offset)
 
     def take_label() -> int:
-        tok = take()
-        if tok.kind != "word" or not tok.text.isdigit():
-            raise ParseError(
-                f"expected a label, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        label = int(tok.text)
+        kind, piece, offset = take()
+        if kind != "word" or not piece.isdigit():
+            fail(f"expected a label, found {piece or 'end of input'!r}", offset)
+        label = int(piece)
         if label == 0:
-            raise ParseError("labels start at 1", tok.line, tok.col)
+            fail("labels start at 1", offset)
         return label
 
     names_seen: set[str] = set()
     frames: list[_Frame] = []
 
     while True:
-        head = take()
-        if head.kind != "word":
-            raise ParseError(
-                f"expected an expression, found {head.text or 'end of input'!r}",
-                head.line,
-                head.col,
-            )
-        if head.text == "U":
+        kind, head, start = take()
+        if kind != "word":
+            fail(f"expected an expression, found {head or 'end of input'!r}", start)
+        if head == "U":
             expect("(")
             frames.append(_Frame("U"))
             continue
-        if head.text in ("eta", "rho"):
+        if head in ("eta", "rho"):
             expect("(")
             a = take_label()
-            expect("," if head.text == "eta" else "->")
+            expect("," if head == "eta" else "->")
             b = take_label()
             if a == b:
-                raise ParseError(
-                    f"{head.text} needs two distinct labels, got {a} twice",
-                    head.line,
-                    head.col,
-                )
+                fail(f"{head} needs two distinct labels, got {a} twice", start)
             expect(",")
-            frames.append(_Frame(head.text, a, b))
+            frames.append(_Frame(head, a, b))
             continue
-        if head.text.isdigit():
-            label = int(head.text)
+        if head.isdigit():
+            label = int(head)
             if label == 0:
-                raise ParseError("labels start at 1", head.line, head.col)
+                fail("labels start at 1", start)
             expect("(")
-            name_tok = take()
-            if name_tok.kind != "word":
-                raise ParseError(
-                    f"expected a vertex name, found {name_tok.text or 'end of input'!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            if name_tok.text in names_seen:
-                raise ParseError(
-                    f"duplicate vertex name {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            names_seen.add(name_tok.text)
+            kind, name, offset = take()
+            if kind != "word":
+                fail(f"expected a vertex name, found {name or 'end of input'!r}", offset)
+            if name in names_seen:
+                fail(f"duplicate vertex name {name!r}", offset)
+            names_seen.add(name)
             expect(")")
-            value: KExpr = Leaf(label, name_tok.text)
+            value: KExpr = Leaf(label, name)
         else:
-            raise ParseError(
-                f"expected 'U', 'eta', 'rho', or a label, found {head.text!r}",
-                head.line,
-                head.col,
-            )
+            fail(f"expected 'U', 'eta', 'rho', or a label, found {head!r}", start)
 
         # Attach the completed subexpression upward.
         while True:
@@ -317,23 +286,6 @@ def _postorder(expr: KExpr) -> list[KExpr]:
             stack.append((node.left, False))
         elif isinstance(node, (Eta, Rho)):
             stack.append((node.child, False))
-    return out
-
-
-def _postorder_with_paths(expr: KExpr) -> list[tuple[KExpr, tuple[int, ...]]]:
-    out: list[tuple[KExpr, tuple[int, ...]]] = []
-    stack: list[tuple[KExpr, tuple[int, ...], bool]] = [(expr, (), False)]
-    while stack:
-        node, path, done = stack.pop()
-        if done:
-            out.append((node, path))
-            continue
-        stack.append((node, path, True))
-        if isinstance(node, Union):
-            stack.append((node.right, path + (1,), False))
-            stack.append((node.left, path + (0,), False))
-        elif isinstance(node, (Eta, Rho)):
-            stack.append((node.child, path + (0,), False))
     return out
 
 
@@ -414,100 +366,86 @@ class LabeledGraph:
 
     ``labels[v]`` is the final label of vertex v and ``names[v]`` the
     leaf name it was introduced with; ids follow depth-first leaf order.
+    ``violations`` lists the edge-insertions that re-covered an existing
+    edge (see :func:`check_irredundant`).
     """
 
     graph: Graph
     labels: tuple[int, ...]
     names: tuple[str, ...]
-
-    def label_classes(self) -> dict[int, list[int]]:
-        classes: dict[int, list[int]] = {}
-        for v, lab in enumerate(self.labels):
-            classes.setdefault(lab, []).append(v)
-        return classes
+    violations: tuple[IrredundancyViolation, ...] = ()
 
 
-def evaluate(expr: KExpr) -> LabeledGraph:
-    """Build the labeled graph an expression denotes.
+def _walk(expr: KExpr):
+    """Post-order walk that keeps the label classes of the subgraph built so far.
 
-    Assumes a well-formed tree (see :func:`validate`).  Label-class
-    bookkeeping merges small into large, so evaluation is near-linear
-    in the expression size plus the number of produced edges.
+    Yields ``(node, classes, sides)`` for every node after its children.
+    ``classes`` maps each label of the node's subgraph to its vertex ids,
+    which count leaves in walk order; unions and renames merge the
+    smaller class into the larger, so the whole walk is near-linear in
+    the expression size.  ``sides`` is the walk's own stack: the child
+    index taken at each ancestor of the node, so ``tuple(sides)`` is the
+    node's path from the root.  Both are live and change on the next
+    step.
     """
-    names: list[str] = []
-    edges: list[tuple[int, int]] = []
-    vals: list[dict[int, list[int]]] = []
-    for node in _postorder(expr):
-        if isinstance(node, Leaf):
-            vid = len(names)
-            names.append(node.name)
-            vals.append({node.label: [vid]})
-        elif isinstance(node, Union):
-            right = vals.pop()
-            left = vals.pop()
-            if len(left) < len(right):
-                left, right = right, left
-            for lab, ids in right.items():
-                if lab in left:
-                    left[lab].extend(ids)
-                else:
-                    left[lab] = ids
-            vals.append(left)
-        elif isinstance(node, Eta):
-            top = vals[-1]
-            for u in top.get(node.a, ()):
-                for v in top.get(node.b, ()):
-                    edges.append((u, v))
-        else:  # Rho
-            top = vals[-1]
-            if node.a in top:
-                ids = top.pop(node.a)
-                if node.b in top:
-                    top[node.b].extend(ids)
-                else:
-                    top[node.b] = ids
-    classes = vals[0]
-    labels = [0] * len(names)
-    for lab, ids in classes.items():
-        for v in ids:
-            labels[v] = lab
-    return LabeledGraph(
-        Graph(len(names), edges), tuple(labels), tuple(names)
-    )
+    vals: list[dict[int, list[int]]] = []  # classes of the finished subtrees
+    above: list[KExpr] = []  # the node's ancestors, root first
+    sides: list[int] = []
+    vid = 0
+    node = expr
+    while True:
+        while not isinstance(node, Leaf):
+            above.append(node)
+            sides.append(0)
+            node = node.left if isinstance(node, Union) else node.child
+        vals.append({node.label: [vid]})
+        vid += 1
+        yield node, vals[-1], sides
+        while True:
+            if not above:
+                return
+            node = above[-1]
+            if isinstance(node, Union) and not sides[-1]:
+                # the left operand is done: walk the right one next
+                sides[-1] = 1
+                node = node.right
+                break
+            above.pop()
+            sides.pop()
+            if isinstance(node, Union):
+                right = vals.pop()
+                left = vals[-1]
+                if len(left) < len(right):
+                    left, right = right, left
+                    vals[-1] = left
+                for lab, ids in right.items():
+                    if lab in left:
+                        left[lab].extend(ids)
+                    else:
+                        left[lab] = ids
+            elif isinstance(node, Rho):
+                top = vals[-1]
+                if node.a in top:
+                    ids = top.pop(node.a)
+                    if node.b in top:
+                        top[node.b].extend(ids)
+                    else:
+                        top[node.b] = ids
+            yield node, vals[-1], sides
 
 
-def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
-    """List every edge-insertion applied where its classes already share an edge.
-
-    Empty iff, before each ``eta(a,b, ...)``, the child graph has no
-    edge between an a-labeled and a b-labeled vertex — exactly the
-    precondition the clique-width solver needs.
-    """
-    violations: list[IrredundancyViolation] = []
+def _evaluate(expr: KExpr):
+    """One walk: leaf names, edge set, root label classes, violations."""
     names: list[str] = []
     edges: set[tuple[int, int]] = set()
-    vals: list[dict[int, list[int]]] = []
-    for node, path in _postorder_with_paths(expr):
+    violations: list[IrredundancyViolation] = []
+    for node, classes, sides in _walk(expr):
         if isinstance(node, Leaf):
-            vid = len(names)
             names.append(node.name)
-            vals.append({node.label: [vid]})
-        elif isinstance(node, Union):
-            right = vals.pop()
-            left = vals.pop()
-            if len(left) < len(right):
-                left, right = right, left
-            for lab, ids in right.items():
-                if lab in left:
-                    left[lab].extend(ids)
-                else:
-                    left[lab] = ids
-            vals.append(left)
         elif isinstance(node, Eta):
-            top = vals[-1]
             offending: tuple[str, str] | None = None
-            for u in top.get(node.a, ()):
-                for v in top.get(node.b, ()):
+            for u in classes.get(node.a, ()):
+                for v in classes.get(node.b, ()):
                     key = (u, v) if u < v else (v, u)
                     if key in edges:
                         if offending is None:
@@ -516,17 +454,38 @@ def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
                         edges.add(key)
             if offending is not None:
                 violations.append(
-                    IrredundancyViolation(path, node.a, node.b, offending)
+                    IrredundancyViolation(tuple(sides), node.a, node.b, offending)
                 )
-        else:  # Rho
-            top = vals[-1]
-            if node.a in top:
-                ids = top.pop(node.a)
-                if node.b in top:
-                    top[node.b].extend(ids)
-                else:
-                    top[node.b] = ids
-    return violations
+    return names, edges, classes, violations
+
+
+def evaluate(expr: KExpr) -> LabeledGraph:
+    """Build the labeled graph an expression denotes, noting redundant insertions.
+
+    Assumes a well-formed tree (see :func:`validate`).  Runs in one walk,
+    near-linear in the expression size plus the number of produced
+    edges.
+    """
+    names, edges, classes, violations = _evaluate(expr)
+    labels = [0] * len(names)
+    for lab, ids in classes.items():
+        for v in ids:
+            labels[v] = lab
+    return LabeledGraph(
+        Graph(len(names), edges), tuple(labels), tuple(names), tuple(violations)
+    )
+
+
+def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
+    """List every edge-insertion applied where its classes already share an edge.
+
+    Empty iff, before each ``eta(a,b, ...)``, the child graph has no
+    edge between an a-labeled and a b-labeled vertex — exactly the
+    precondition the clique-width solver needs.  Each violation's
+    ``path`` is built only when its eta violates, so the check is linear
+    in the expression size plus the number of edges.
+    """
+    return _evaluate(expr)[3]
 
 
 def normalize_irredundant(expr: KExpr) -> KExpr:
@@ -536,31 +495,18 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
     some new edges while re-covering existing ones; such expressions
     must be rewritten by the caller.
     """
-    names_count = 0
     edges: set[tuple[int, int]] = set()
-    vals: list[tuple[KExpr, dict[int, list[int]]]] = []
-    for node, path in _postorder_with_paths(expr):
+    built: list[KExpr] = []
+    for node, classes, sides in _walk(expr):
         if isinstance(node, Leaf):
-            vals.append((node, {node.label: [names_count]}))
-            names_count += 1
+            built.append(node)
         elif isinstance(node, Union):
-            rexpr, right = vals.pop()
-            lexpr, left = vals.pop()
-            rebuilt = (
-                node
-                if lexpr is node.left and rexpr is node.right
-                else Union(lexpr, rexpr)
-            )
-            if len(left) < len(right):
-                left, right = right, left
-            for lab, ids in right.items():
-                if lab in left:
-                    left[lab].extend(ids)
-                else:
-                    left[lab] = ids
-            vals.append((rebuilt, left))
+            right = built.pop()
+            left = built.pop()
+            same = left is node.left and right is node.right
+            built.append(node if same else Union(left, right))
         elif isinstance(node, Eta):
-            cexpr, classes = vals.pop()
+            child = built.pop()
             fresh: list[tuple[int, int]] = []
             covered = False
             for u in classes.get(node.a, ()):
@@ -571,24 +517,16 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
                     else:
                         fresh.append(key)
             if not fresh:
-                vals.append((cexpr, classes))  # no-op eta: delete
+                built.append(child)  # no-op eta: delete
                 continue
             if covered:
-                raise PartialRedundancyError(path, node.a, node.b)
+                raise PartialRedundancyError(tuple(sides), node.a, node.b)
             edges.update(fresh)
-            rebuilt = node if cexpr is node.child else Eta(node.a, node.b, cexpr)
-            vals.append((rebuilt, classes))
+            built.append(node if child is node.child else Eta(node.a, node.b, child))
         else:  # Rho
-            cexpr, classes = vals.pop()
-            if node.a in classes:
-                ids = classes.pop(node.a)
-                if node.b in classes:
-                    classes[node.b].extend(ids)
-                else:
-                    classes[node.b] = ids
-            rebuilt = node if cexpr is node.child else Rho(node.a, node.b, cexpr)
-            vals.append((rebuilt, classes))
-    return vals[0][0]
+            child = built.pop()
+            built.append(node if child is node.child else Rho(node.a, node.b, child))
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -717,28 +655,17 @@ def tree_expression(tree: Graph, root: int = 0) -> KExpr:
     Standard bottom-up construction: a finished subtree has its root
     labeled 2 and everything else labeled 1; a child is relabeled to 3,
     joined to its parent, then retired to 1.  Leaf names are the tree's
-    vertex ids as strings.
+    vertex ids as strings.  A forest of two or more trees is refused.
     """
-    if not is_tree(tree):
+    # n - 1 edges and no cycle (root_forest raises on one) make a tree
+    if len(tree.edges) != tree.n - 1:
         raise ValueError("input graph is not a tree")
-    if not 0 <= root < tree.n:
-        raise ValueError(f"root {root} out of range")
+    parent, order, _ = root_forest(tree, root)
     if tree.n == 1:
         return Leaf(1, str(root))
 
-    parent: list[int | None] = [None] * tree.n
-    order = [root]
-    seen = [False] * tree.n
-    seen[root] = True
-    for v in order:
-        for w in tree.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-
     built: dict[int, KExpr] = {}
-    for v in reversed(order):
+    for v in order:
         acc: KExpr = Leaf(2, str(v))
         for w in tree.adjacency[v]:
             if parent[w] == v:

@@ -64,6 +64,35 @@ def _mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
+def _first_seed(
+    graph: Graph,
+    thresholds: Sequence[int],
+    latency: int,
+    max_size: int,
+    targets: Iterable[int],
+    requirement: int,
+    limit: int,
+) -> frozenset[int] | None:
+    """First seed set activating every target and ``requirement`` vertices.
+
+    Tries seed sets of at most ``max_size`` vertices by size, then
+    lexicographically, and returns None when none succeeds.
+    """
+    _guard(graph, limit)
+    n = graph.n
+    tmask = _mask(targets, n)
+    masks = neighbor_masks(graph)
+    for size in range(min(max_size, n) + 1):
+        for comb in combinations(range(n), size):
+            seed = 0
+            for v in comb:
+                seed |= 1 << v
+            final = cascade(masks, thresholds, seed, latency)
+            if final & tmask == tmask and final.bit_count() >= requirement:
+                return frozenset(comb)
+    return None
+
+
 def brute_min_target(
     graph: Graph,
     thresholds: Sequence[int],
@@ -77,18 +106,10 @@ def brute_min_target(
     Returns the lexicographically smallest optimum.  Always succeeds:
     seeding all vertices is feasible.
     """
-    _guard(graph, limit)
-    n = graph.n
-    tmask = _mask(targets, n)
-    masks = neighbor_masks(graph)
-    for size in range(n + 1):
-        for comb in combinations(range(n), size):
-            seed = 0
-            for v in comb:
-                seed |= 1 << v
-            if cascade(masks, thresholds, seed, latency) & tmask == tmask:
-                return frozenset(comb)
-    raise AssertionError("unreachable: seeding all vertices is feasible")
+    found = _first_seed(graph, thresholds, latency, graph.n, targets, 0, limit)
+    if found is None:
+        raise AssertionError("unreachable: seeding all vertices is feasible")
+    return found
 
 
 def brute_decision(
@@ -105,17 +126,8 @@ def brute_decision(
     Returns the decision with a witness seed set (smallest, then
     lexicographic) or ``None``.
     """
-    _guard(graph, limit)
-    n = graph.n
-    masks = neighbor_masks(graph)
-    for size in range(min(budget, n) + 1):
-        for comb in combinations(range(n), size):
-            seed = 0
-            for v in comb:
-                seed |= 1 << v
-            if cascade(masks, thresholds, seed, latency).bit_count() >= requirement:
-                return True, frozenset(comb)
-    return False, None
+    found = _first_seed(graph, thresholds, latency, budget, (), requirement, limit)
+    return found is not None, found
 
 
 def brute_select_targets(
@@ -128,15 +140,4 @@ def brute_select_targets(
     limit: int = DEFAULT_LIMIT,
 ) -> frozenset[int] | None:
     """Minimum seed set activating all targets, or ``None`` if it exceeds budget."""
-    _guard(graph, limit)
-    n = graph.n
-    tmask = _mask(targets, n)
-    masks = neighbor_masks(graph)
-    for size in range(min(budget, n) + 1):
-        for comb in combinations(range(n), size):
-            seed = 0
-            for v in comb:
-                seed |= 1 << v
-            if cascade(masks, thresholds, seed, latency) & tmask == tmask:
-                return frozenset(comb)
-    return None
+    return _first_seed(graph, thresholds, latency, budget, targets, 0, limit)

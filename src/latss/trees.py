@@ -17,20 +17,26 @@ The solver accepts any normalized thresholds.  Vertices needing more
 than their degree can supply are seeded directly when required, and
 vertices with threshold 0 self-activate at round 1; both extensions are
 validated against brute force in the test suite rather than assumed.
+
+Forests are accepted.  One breadth-first pass (:func:`~latss.graphs.root_forest`)
+roots every component, the requested root's component at that root and
+every other at its smallest vertex, and rejects a graph with a cycle.
+Components never interact, so one children-first sweep over all of them
+solves each independently.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    connected_components,
-    is_forest,
+    connected_components,  # unused here; perfbench/tracing.py rebinds it by this name
+    is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
     normalize_thresholds,
+    root_forest,
     simulate,
 )
 
@@ -64,48 +70,6 @@ def select_tth_smallest(values: Iterable[int], t: int) -> int:
 
 
 @dataclass(frozen=True)
-class RootedTree:
-    """A tree with parent/children maps and a children-first processing order."""
-
-    graph: Graph
-    root: int
-    parent: tuple[int | None, ...]
-    children: tuple[tuple[int, ...], ...]
-    order: tuple[int, ...]  # reverse BFS: every child precedes its parent
-
-
-def root_and_order(tree: Graph, root: int = 0) -> RootedTree:
-    """Root a tree and list vertices so children come before parents."""
-    if not 0 <= root < tree.n:
-        raise ValueError(f"root {root} out of range")
-    parent: list[int | None] = [None] * tree.n
-    bfs = [root]
-    seen = [False] * tree.n
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in tree.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                bfs.append(w)
-                queue.append(w)
-    if len(bfs) != tree.n or len(tree.edges) != tree.n - 1:
-        raise ValueError("input graph is not a tree")
-    children: list[list[int]] = [[] for _ in range(tree.n)]
-    for v in bfs[1:]:
-        children[parent[v]].append(v)
-    return RootedTree(
-        tree,
-        root,
-        tuple(parent),
-        tuple(tuple(c) for c in children),
-        tuple(reversed(bfs)),
-    )
-
-
-@dataclass(frozen=True)
 class TreeSolveResult:
     """Seed set plus the per-vertex bookkeeping of one solve."""
 
@@ -124,38 +88,21 @@ class TreeSolveResult:
         return self.latency + 1
 
 
-def _component_roots(graph: Graph, root: int) -> list[list[int]]:
-    comps = connected_components(graph)
-    # place the component containing the requested root first, rooted there
-    ordered = []
-    for comp in comps:
-        if root in comp:
-            ordered.insert(0, comp)
-        else:
-            ordered.append(comp)
-    return ordered
-
-
 def solve_detailed(
     tree: Graph,
     thresholds: Sequence[int],
     latency: int,
     targets: Iterable[int],
     root: int = 0,
-    extended: bool = True,
 ) -> TreeSolveResult:
     """Minimum seed set activating every target within the latency bound.
 
     Accepts forests: components are solved independently (the requested
     root applies to its own component, others are rooted at their
-    smallest vertex).  With ``extended=False``, thresholds outside
-    ``[1, degree]`` are rejected instead of handled.
+    smallest vertex).  Raises ValueError on a graph with a cycle.
     """
     n = tree.n
-    if not is_forest(tree):
-        raise ValueError("input graph has a cycle")
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range")
+    parent, order, roots = root_forest(tree, root)
     if latency < 0:
         raise ValueError("latency must be non-negative")
     target_set = set(targets)
@@ -163,12 +110,6 @@ def solve_detailed(
         if not 0 <= v < n:
             raise ValueError(f"target vertex {v} out of range")
     thr = normalize_thresholds(tree, thresholds)
-    if not extended:
-        for v in range(n):
-            if not 1 <= thresholds[v] <= tree.degree(v):
-                raise ValueError(
-                    f"threshold {thresholds[v]} at vertex {v} outside [1, degree]"
-                )
 
     inf = latency + 1
     time = [inf] * n
@@ -181,9 +122,6 @@ def solve_detailed(
         seeds = frozenset(target_set)
         for v in seeds:
             time[v] = 0
-        comp_roots = []
-        for comp in _component_roots(tree, root):
-            comp_roots.append(root if root in comp else comp[0])
         return TreeSolveResult(
             seeds,
             tuple(time),
@@ -191,95 +129,63 @@ def solve_detailed(
             tuple(max_path),
             tuple(act_count),
             frozenset(target_set),
-            tuple(comp_roots),
+            tuple(roots),
             latency,
         )
 
     seeds: set[int] = set()
     required = set(target_set)
-    roots: list[int] = []
 
-    for comp in _component_roots(tree, root):
-        comp_root = root if root in comp else comp[0]
-        roots.append(comp_root)
-        if len(comp) == 1:
-            v = comp_root
-            if v in required:
-                if thr[v] >= 1:
+    for v in order:
+        up = parent[v]
+        kids = [w for w in tree.adjacency[v] if w != up]
+        t = thr[v]
+        if not kids:  # a leaf, or an isolated vertex
+            if t == 0:
+                time[v] = 1  # self-activates, no help needed
+            elif v in required:
+                if t == 1 and up is not None:
+                    required.add(up)
+                    path[v] = 0
+                else:  # t == degree + 1: only seeding can activate it
                     seeds.add(v)
                     time[v] = 0
-                else:
-                    time[v] = 1
-            elif thr[v] == 0:
-                time[v] = 1
             continue
 
-        parent: dict[int, int] = {}
-        bfs = [comp_root]
-        queue = deque([comp_root])
-        seen = {comp_root}
-        while queue:
-            v = queue.popleft()
-            for w in tree.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    bfs.append(w)
-                    queue.append(w)
-        children: dict[int, list[int]] = {v: [] for v in bfs}
-        for v in bfs[1:]:
-            children[parent[v]].append(v)
+        mp = 1 + max(path[u] for u in kids)
+        act = sum(1 for u in kids if time[u] < latency - mp)
+        max_path[v] = mp
+        act_count[v] = act
+        if t == 0:
+            time[v] = 1
+        elif t <= len(kids):
+            time[v] = min(
+                inf, 1 + select_tth_smallest([time[u] for u in kids], t)
+            )
+        else:
+            time[v] = inf  # fewer child times than needed
 
-        for v in reversed(bfs):
-            kids = children[v]
-            t = thr[v]
-            if not kids:  # leaf of the rooted component (never the root here)
-                if t == 0:
-                    time[v] = 1  # self-activates, no help needed
-                elif t == 1:
-                    if v in required:
-                        required.add(parent[v])
-                        path[v] = 0
-                else:  # t == 2 == degree+1: only seeding can activate it
-                    if v in required:
-                        seeds.add(v)
-                        time[v] = 0
-                continue
-
-            mp = 1 + max(path[u] for u in kids)
-            act = sum(1 for u in kids if time[u] < latency - mp)
-            max_path[v] = mp
-            act_count[v] = act
+        if v not in required:
+            continue
+        if up is not None:
             if t == 0:
-                time[v] = 1
-            elif t <= len(kids):
-                time[v] = min(
-                    inf, 1 + select_tth_smallest([time[u] for u in kids], t)
-                )
-            else:
-                time[v] = inf  # fewer child times than needed
-
-            if v not in required:
-                continue
-            if v != comp_root:
-                if t == 0:
-                    if mp == latency:
-                        seeds.add(v)
-                        time[v] = 0
-                elif act <= t - 2 or mp == latency:
+                if mp == latency:
                     seeds.add(v)
                     time[v] = 0
-                elif act == t - 1:  # parent must finish the job
-                    required.add(parent[v])
-                    path[v] = mp
-            else:
-                if t == 0:
-                    if mp == latency:
-                        seeds.add(v)
-                        time[v] = 0
-                elif act <= t - 1:
+            elif act <= t - 2 or mp == latency:
+                seeds.add(v)
+                time[v] = 0
+            elif act == t - 1:  # parent must finish the job
+                required.add(up)
+                path[v] = mp
+        else:
+            if t == 0:
+                if mp == latency:
                     seeds.add(v)
                     time[v] = 0
+            elif act <= t - 1:
+                seeds.add(v)
+                time[v] = 0
 
     return TreeSolveResult(
         frozenset(seeds),
@@ -299,21 +205,8 @@ def solve(
     latency: int,
     targets: Iterable[int],
     root: int = 0,
-    extended: bool = True,
 ) -> frozenset[int]:
-    return solve_detailed(
-        tree, thresholds, latency, targets, root, extended
-    ).seeds
-
-
-def _induced_subtree(tree: Graph, comp: list[int]) -> Graph:
-    remap = {v: i for i, v in enumerate(comp)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in tree.edges
-        if u in remap and v in remap
-    ]
-    return Graph(len(comp), edges)
+    return solve_detailed(tree, thresholds, latency, targets, root).seeds
 
 
 @dataclass(frozen=True)
@@ -343,8 +236,7 @@ def audit(
 ) -> TreeAudit:
     """Recompute per-vertex state from scratch via subtree cascades."""
     n = tree.n
-    if not is_forest(tree):
-        raise ValueError("input graph has a cycle")
+    parent, order, _ = root_forest(tree, root)
     thr = normalize_thresholds(tree, thresholds)
     target_set = frozenset(targets)
     seed_set = frozenset(seeds)
@@ -354,86 +246,52 @@ def audit(
     path_star = [-1] * n
     max_path_star = [0] * n
 
-    for comp in _component_roots(tree, root):
-        comp_root = root if root in comp else comp[0]
-        parent: dict[int, int] = {}
-        bfs = [comp_root]
-        queue = deque([comp_root])
-        seen = {comp_root}
-        while queue:
-            v = queue.popleft()
-            for w in tree.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    bfs.append(w)
-                    queue.append(w)
-        children: dict[int, list[int]] = {v: [] for v in bfs}
-        for v in bfs[1:]:
-            children[parent[v]].append(v)
+    subtree: dict[int, list[int]] = {}
+    for v in order:
+        kids = [w for w in tree.adjacency[v] if w != parent[v]]
+        vs = [v]
+        for u in kids:
+            vs.extend(subtree[u])
+        subtree[v] = vs
 
-        # subtree vertex sets, children-first
-        subtree: dict[int, list[int]] = {}
-        for v in reversed(bfs):
-            vs = [v]
-            for u in children[v]:
-                vs.extend(subtree[u])
-            subtree[v] = vs
+        # cascade inside the subtree, seeded with the solution restricted to it
+        remap = {w: i for i, w in enumerate(vs)}
+        sub = Graph(
+            len(vs),
+            [
+                (remap[a], remap[b])
+                for a in vs
+                for b in tree.adjacency[a]
+                if b in remap and a < b
+            ],
+        )
+        sub_thr = [thr[w] for w in vs]
+        sub_seed = [remap[w] for w in vs if w in seed_set]
+        trace = simulate(sub, sub_thr, sub_seed, len(vs))
+        rounds = [frozenset(vs[i] for i in s) for s in trace.rounds]
+        if v in seed_set:
+            time_star[v] = 0
+        else:
+            when = next((i for i, s in enumerate(rounds) if v in s), None)
+            time_star[v] = inf if when is None else min(when, inf)
 
-        # cascade inside each subtree, seeded with the solution restricted to it
-        active_rounds: dict[int, list[frozenset[int]]] = {}
-        for v in bfs:
-            vs = subtree[v]
-            remap = {w: i for i, w in enumerate(vs)}
-            sub = Graph(
-                len(vs),
-                [
-                    (remap[a], remap[b])
-                    for a in vs
-                    for b in tree.adjacency[a]
-                    if b in remap and a < b
-                ],
-            )
-            sub_thr = [thr[w] for w in vs]
-            sub_seed = [remap[w] for w in vs if w in seed_set]
-            trace = simulate(sub, sub_thr, sub_seed, len(vs))
-            rounds = [
-                frozenset(vs[i] for i in s) for s in trace.rounds
-            ]
-            active_rounds[v] = rounds
-            if v in seed_set:
-                time_star[v] = 0
-            else:
-                when = next(
-                    (i for i, s in enumerate(rounds) if v in s), None
-                )
-                time_star[v] = inf if when is None else min(when, inf)
-
-        def active_at(v: int, j: int) -> frozenset[int]:
-            if j < 0:
-                return frozenset()
-            rounds = active_rounds[v]
-            return rounds[min(j, len(rounds) - 1)]
-
-        for v in reversed(bfs):
-            kids = children[v]
-            if not kids:
-                path_star[v] = (
-                    0 if v in target_set and v not in seed_set else -1
-                )
-                continue
-            mp = 1 + max(path_star[u] for u in kids)
-            max_path_star[v] = mp
-            helpers = active_at(v, latency - mp - 1) & set(kids)
-            if (
-                mp < latency
-                and len(helpers) == thr[v] - 1
-                and (v in target_set or mp > 0)
-                and v not in seed_set
-            ):
-                path_star[v] = mp
-            else:
-                path_star[v] = -1
+        if not kids:
+            path_star[v] = 0 if v in target_set and v not in seed_set else -1
+            continue
+        mp = 1 + max(path_star[u] for u in kids)
+        max_path_star[v] = mp
+        j = latency - mp - 1
+        active = rounds[min(j, len(rounds) - 1)] if j >= 0 else frozenset()
+        helpers = active & set(kids)
+        if (
+            mp < latency
+            and len(helpers) == thr[v] - 1
+            and (v in target_set or mp > 0)
+            and v not in seed_set
+        ):
+            path_star[v] = mp
+        else:
+            path_star[v] = -1
 
     return TreeAudit(
         tuple(time_star),

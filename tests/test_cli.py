@@ -134,8 +134,20 @@ class TestSolveCommand:
         }
         path = write(tmp_path, doc)
         code = main(["solve", "--method", "tree", "--instance", path])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert "error: input graph has a cycle" in captured.err
+
+    @pytest.mark.parametrize(
+        "edges", [[[0, 1], [1, 2], [0, 2]], [[0, 1]]], ids=["cycle", "forest"]
+    )
+    def test_cwd_without_kexpr_needs_a_tree(self, capsys, tmp_path, edges):
+        doc = {"n": 3, "edges": edges, "thresholds": [1, 1, 1], "lambda": 1, "targets": [0]}
+        code = main(["solve", "--method", "cwd", "--instance", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cwd method needs a kexpr in the instance (non-tree graph)" in captured.err
 
     def test_variant_assertion(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)
@@ -310,18 +322,12 @@ class TestGenCommand:
         code, out = run(capsys, ["solve", "--method", method, "--instance", path])
         assert code == 0 and out["feasible"]
 
+    def test_output_is_one_compact_line(self, capsys):
+        main(["gen", "path", "--n", "3"])
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
     def test_latency_override(self, capsys):
         code, doc = run(capsys, ["gen", "path", "--n", "4", "--latency", "2"])
         assert code == 0 and doc["lambda"] == 2
-
-
-class TestBenchCommand:
-    def test_scaling_report(self, capsys):
-        code, doc = run(capsys, ["bench", "scaling", "--sizes", "500,1000"])
-        assert code == 0
-        assert len(doc["wall_times_s"]) == 2 and len(doc["ratios"]) == 1
-
-    def test_bad_sizes(self, capsys):
-        code = main(["bench", "scaling", "--sizes", "1"])
-        capsys.readouterr()
-        assert code == 2

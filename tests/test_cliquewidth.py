@@ -155,6 +155,27 @@ class TestEtaQueries:
         with pytest.raises(IrredundancyError):
             solver_for("eta(2,1, eta(2,1, U(2(v), 1(u))))", (1, 1), 1)
 
+    def test_constructor_walks_the_expression_once(self, monkeypatch):
+        # evaluation and the irredundancy verdict come from one walk, made
+        # through a name a tracer can rebind in this module
+        from latss import cliquewidth
+
+        calls = []
+        for name in ("evaluate", "check_irredundant"):
+            original = getattr(cliquewidth, name)
+
+            def counted(expr, original=original, name=name):
+                calls.append(name)
+                return original(expr)
+
+            monkeypatch.setattr(cliquewidth, name, counted)
+        solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
+        assert calls == ["evaluate"]
+        with pytest.raises(IrredundancyError) as err:
+            solver_for("eta(2,1, eta(2,1, U(2(v), 1(u))))", (1, 1), 1)
+        assert calls == ["evaluate"] * 2
+        assert [v.path for v in err.value.violations] == [()]
+
 
 class TestRhoQueries:
     def test_forced_split_when_source_class_empty(self):

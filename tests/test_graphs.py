@@ -11,6 +11,7 @@ from latss.graphs import (
     is_tree,
     normalize_thresholds,
     path_graph,
+    root_forest,
     simulate,
     star_graph,
     verify_solution,
@@ -52,6 +53,37 @@ class TestGraph:
             for w in g.adjacency[v]:
                 assert v in g.adjacency[w]
             assert g.degree(v) == len(set(g.adjacency[v]))
+
+
+class TestRootForest:
+    def test_one_root_per_component_children_first(self):
+        # components {0, 3}, {1}, {2, 4, 5} and the isolated vertex 6
+        forest = Graph(7, [(0, 3), (2, 4), (4, 5)])
+        parent, order, roots = root_forest(forest)
+        assert roots == [0, 1, 2, 6]
+        assert parent == [None, None, None, 0, 2, 4, None]
+        assert sorted(order) == list(range(7))
+        position = {v: i for i, v in enumerate(order)}
+        for v, up in enumerate(parent):
+            if up is not None:
+                assert position[v] < position[up]
+
+    def test_root_roots_its_own_component_only(self):
+        forest = Graph(7, [(0, 3), (2, 4), (4, 5)])
+        parent, _, roots = root_forest(forest, root=5)
+        assert roots == [5, 0, 1, 6]
+        assert parent == [None, None, 4, 0, 5, None, None]
+
+    def test_cycle_in_any_component_raises(self):
+        graph = Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)])
+        with pytest.raises(ValueError, match="cycle"):
+            root_forest(graph)
+        with pytest.raises(ValueError, match="cycle"):
+            root_forest(graph, root=5)
+
+    def test_root_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            root_forest(Graph(2), 2)
 
 
 class TestNormalizeThresholds:

@@ -1,6 +1,7 @@
 """Parser, printer, evaluator, validators, lifting, and generators."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,21 @@ class TestParse:
             parse("U(1(u),\n 2(v)")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            # the stray '%' is reported ahead of the earlier missing ')'
+            ("U(1(a),\n 2(b),\n  3(c) % x)", "unexpected character '%'", 3, 8),
+            ("U(1(a),\n U(2(b),\n  rho(2->2, 3(c))))", "distinct", 3, 3),
+            ("eta(2,1,\n U(2(v),\n   1(u))\n", "found 'end of input'", 4, 1),
+        ],
+    )
+    def test_error_positions(self, text, message, line, col):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value).endswith(f"(line {line}, column {col})")
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("1(u) 2(v)")
@@ -166,6 +182,36 @@ class TestCheckIrredundant:
 
     def test_eta_free_is_clean(self):
         assert check_irredundant(parse("rho(2->1, U(1(u), 2(v)))")) == []
+
+    def test_deep_violation_path(self):
+        # the path construction with its deepest eta applied twice
+        n = 1000
+        names = [str(j) for j in range(n)]
+        expr = Eta(2, 1, Eta(2, 1, Union(Leaf(2, "1"), Leaf(1, "0"))))
+        for j in range(2, n):
+            grown = expr if j == 2 else Rho(3, 2, Rho(2, 1, expr))
+            expr = Eta(3, 2, Union(Leaf(3, names[j]), grown))
+        violations = check_irredundant(expr)
+        assert len(violations) == 1
+        v = violations[0]
+        assert v.path == (0, 1, 0, 0) * (n - 3) + (0, 1)
+        assert (v.a, v.b, v.edge) == (2, 1, ("1", "0"))
+        assert evaluate(expr).violations == (v,)
+        assert unparse(normalize_irredundant(expr)) == unparse(path_expression(n, names))
+
+    def test_linear_in_expression_size(self):
+        times = {}
+        for n in (500, 2000):
+            expr = path_expression(n)
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                assert check_irredundant(expr) == []
+                best = min(best, time.perf_counter() - start)
+            times[n] = best
+        # linear is about 4x, quadratic about 16x
+        ratio = times[2000] / times[500]
+        assert ratio < 8, f"4x the path scaled the check by {ratio:.1f}"
 
 
 class TestNormalizeIrredundant:

@@ -10,13 +10,13 @@ from latss.graphs import (
     Graph,
     path_graph,
     random_tree,
+    root_forest,
     simulate,
     star_graph,
 )
 from latss.oracle import brute_min_target
 from latss.trees import (
     audit,
-    root_and_order,
     select_tth_smallest,
     solve,
     solve_detailed,
@@ -26,32 +26,34 @@ from strategies import trees
 
 
 class TestRootAndOrder:
+    """Rooting through :func:`latss.graphs.root_forest`."""
+
     def test_single_vertex(self):
-        rooted = root_and_order(Graph(1), 0)
-        assert rooted.order == (0,)
-        assert rooted.children == ((),)
+        assert root_forest(Graph(1), 0) == ([None], [0], [0])
 
     def test_children_processed_first(self):
-        rooted = root_and_order(path_graph(3), 1)
-        assert rooted.order.index(0) < rooted.order.index(1)
-        assert rooted.order.index(2) < rooted.order.index(1)
-        assert rooted.parent == (1, None, 1)
+        parent, order, roots = root_forest(path_graph(3), 1)
+        assert order.index(0) < order.index(1)
+        assert order.index(2) < order.index(1)
+        assert parent == [1, None, 1]
+        assert roots == [1]
 
     def test_rejects_non_trees(self):
-        with pytest.raises(ValueError, match="not a tree"):
-            root_and_order(Graph(2), 0)
-        with pytest.raises(ValueError, match="not a tree"):
-            root_and_order(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
+        # two isolated vertices are a forest of two trees; a cycle is refused
+        assert root_forest(Graph(2), 0) == ([None, None], [1, 0], [0, 1])
+        with pytest.raises(ValueError, match="cycle"):
+            root_forest(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
 
     @settings(max_examples=100)
     @given(trees(max_n=60), st.integers(0, 59))
     def test_every_child_precedes_its_parent(self, tree, root_pick):
         root = root_pick % tree.n
-        rooted = root_and_order(tree, root)
-        position = {v: i for i, v in enumerate(rooted.order)}
-        for v, parent in enumerate(rooted.parent):
-            if parent is not None:
-                assert position[v] < position[parent]
+        parent, order, roots = root_forest(tree, root)
+        assert roots == [root]
+        position = {v: i for i, v in enumerate(order)}
+        for v, up in enumerate(parent):
+            if up is not None:
+                assert position[v] < position[up]
 
 
 class TestSelectTthSmallest:
@@ -107,12 +109,6 @@ class TestSolveExamples:
         with pytest.raises(ValueError, match="cycle"):
             solve(Graph(3, [(0, 1), (1, 2), (0, 2)]), (1, 1, 1), 1, {0})
 
-    def test_strict_mode_rejects_odd_thresholds(self):
-        with pytest.raises(ValueError, match="outside"):
-            solve(path_graph(3), (1, 3, 1), 2, {0}, extended=False)
-        with pytest.raises(ValueError, match="outside"):
-            solve(path_graph(3), (0, 1, 1), 2, {0}, extended=False)
-
 
 def _standard_corpus(count, seed, n_hi=10):
     rng = random.Random(seed)
@@ -148,10 +144,10 @@ class TestOptimality:
 
     def test_no_childless_vertex_is_seeded(self):
         for tree, thr, lam, targets in _standard_corpus(100, seed=27):
-            rooted = root_and_order(tree, 0)
+            parent, _, _ = root_forest(tree, 0)
             chosen = solve(tree, thr, lam, targets, root=0)
             for v in chosen:
-                assert rooted.children[v]
+                assert v in parent
 
     def test_size_independent_of_root(self):
         for tree, thr, lam, targets in _standard_corpus(40, seed=37, n_hi=8):
