@@ -121,15 +121,19 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     return instance, expression
 
 
-def load_instance(path: str) -> tuple[Instance, kexpr.KExpr | None]:
+def _read_json(path: str) -> Any:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path} is not valid JSON: {exc}") from exc
-    return document_to_instance(doc)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is JSON nested deeper than the decoder goes
+        raise InstanceError(f"{path} is not readable JSON: {exc}") from exc
+
+
+def load_instance(path: str) -> tuple[Instance, kexpr.KExpr | None]:
+    return document_to_instance(_read_json(path))
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -180,7 +184,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _result_doc(
     method: str,
     variant: str,
-    feasible: bool,
     selection: frozenset[int] | None,
     instance: Instance,
     elapsed: float,
@@ -189,7 +192,7 @@ def _result_doc(
         "command": "solve",
         "solver": method,
         "variant": variant,
-        "feasible": feasible,
+        "feasible": selection is not None,
         "target_set": sorted(selection) if selection is not None else None,
         "size": len(selection) if selection is not None else None,
         "round_sizes": None,
@@ -231,6 +234,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"instance fields define variant {variant!r}, not {args.variant!r}"
         )
     method = args.method
+    budget = instance.graph.n if instance.budget is None else instance.budget
     start = time.perf_counter()
 
     if method == "tree":
@@ -245,33 +249,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             instance.targets,
             root=args.root,
         )
-        feasible = True
     elif method == "brute":
         if variant == "lba":
-            feasible, selection = oracle.brute_decision(
+            _, selection = oracle.brute_decision(
                 instance.graph,
                 instance.thresholds,
                 instance.latency,
-                instance.budget,
+                budget,
                 instance.requirement,
             )
-        elif variant == "lbA":
+        else:
             selection = oracle.brute_select_targets(
                 instance.graph,
                 instance.thresholds,
                 instance.latency,
-                instance.budget,
+                budget,
                 instance.targets,
             )
-            feasible = selection is not None
-        else:
-            selection = oracle.brute_min_target(
-                instance.graph,
-                instance.thresholds,
-                instance.latency,
-                instance.targets,
-            )
-            feasible = True
     else:  # cwd
         if expression is None:
             expression, to_instance = _tree_for_cwd(instance)
@@ -290,24 +284,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             instance.latency,
             {to_expr[v] for v in instance.targets or ()},
         )
-        if variant == "lA":
-            # smallest budget whose scan succeeds; the memo carries over
-            for budget in range(instance.graph.n + 1):
-                selection = solver.select(budget)
-                if selection is not None:
-                    break
-        else:
-            selection = solver.select(instance.budget, instance.requirement or 0)
-        feasible = selection is not None
+        # the fewest seeds within the budget: at budget n, a minimum target set
+        selection = solver.select(budget, instance.requirement or 0)
         if selection is not None:
             selection = frozenset(to_instance[v] for v in selection)
 
     elapsed = time.perf_counter() - start
-    _emit(
-        _result_doc(method, variant, feasible, selection, instance, elapsed),
-        args.output,
-    )
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    _emit(_result_doc(method, variant, selection, instance, elapsed), args.output)
+    return EXIT_OK if selection is not None else EXIT_INFEASIBLE
 
 
 def _kexpr_source(args: argparse.Namespace) -> str:
@@ -320,13 +304,11 @@ def _kexpr_source(args: argparse.Namespace) -> str:
         except OSError as exc:
             raise InstanceError(f"cannot read {args.file}: {exc}") from exc
     if args.instance is not None:
-        try:
-            with open(args.instance) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InstanceError(f"cannot read {args.instance}: {exc}") from exc
+        doc = _read_json(args.instance)
         if not isinstance(doc, dict) or "kexpr" not in doc:
             raise InstanceError("instance document has no kexpr field")
+        if not isinstance(doc["kexpr"], str):
+            raise InstanceError("field 'kexpr' has the wrong type")
         return doc["kexpr"]
     raise InstanceError("provide --expr, --file, or --instance")
 

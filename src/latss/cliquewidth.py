@@ -30,7 +30,9 @@ totals, and each column is bounded below by the number of targets in
 that root label class.  A real cascade never resumes after a round
 i >= 1 that activates nothing, so the root scan fixes every row after
 such a round to zero.  Row 0 is exempt: threshold-0 vertices fire at
-round 1 without seeds.
+round 1 without seeds.  The scan takes seed rows in increasing seed
+count, so the first satisfiable matrix within a budget uses the fewest
+seeds of any: one scan at budget n answers the minimisation.
 
 Reduction entries are clamped at the largest threshold: any value at or
 above every threshold behaves identically in the activation rule, so
@@ -144,6 +146,28 @@ def _rename(row: tuple[int, ...], la: int, lb: int) -> tuple[int, ...]:
     merged[lb] += merged[la]
     merged[la] = 0
     return tuple(merged)
+
+
+def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
+    """Rows with lo <= row <= hi summing to at most cap, by sum, then lexicographic.
+
+    Each entry ranges only over values the entries after it can
+    complete, so rows come lazily, at O(k) each.
+    """
+    k = len(lo)
+    after = [(sum(lo[i + 1 :]), sum(hi[i + 1 :])) for i in range(k)]
+
+    def rows(i, total):
+        if i == k:
+            yield ()
+            return
+        least = max(lo[i], total - after[i][1])
+        for x in range(least, min(hi[i], total - after[i][0]) + 1):
+            for tail in rows(i + 1, total - x):
+                yield (x, *tail)
+
+    for total in range(sum(lo), min(cap, sum(hi)) + 1):
+        yield from rows(0, total)
 
 
 class CliqueWidthSolver:
@@ -426,7 +450,7 @@ class CliqueWidthSolver:
     # -- root-side scanning -------------------------------------------------
 
     def _root_counts(self, seed_cap: int, min_total: int) -> Iterator[CountMatrix]:
-        """Admissible root count matrices, in lexicographic (row-major) order.
+        """Admissible root count matrices, by seed count, then lexicographic.
 
         Each column sum lies between the targets and the size of its
         root label class; the seed row sums to at most ``seed_cap`` and
@@ -438,10 +462,10 @@ class CliqueWidthSolver:
         zero_row = (0,) * self.k
 
         def options(i, left, need):
-            if i == 0:
-                left = [min(c, seed_cap) for c in left]
             if i < rows - 1:
                 need = zero_row
+            if i == 0:
+                return _rows_by_sum(need, left, seed_cap)
             return product(*(range(n, c + 1) for n, c in zip(need, left)))
 
         # the rows fixed so far, and for each the state before it: its
@@ -463,8 +487,6 @@ class CliqueWidthSolver:
                 continue
             i = len(matrix)
             active = sum(row)
-            if i == 0 and active > seed_cap:
-                continue
             if i == rows - 1 or (i and not active):
                 if total + active >= min_total and all(
                     x >= n for x, n in zip(row, need)
@@ -479,7 +501,7 @@ class CliqueWidthSolver:
             rest = options(i + 1, left, need)
 
     def _scan(self, budget: int, requirement: int) -> CountMatrix | None:
-        """The first satisfiable root count matrix, or None."""
+        """The satisfiable root count matrix with the fewest seeds, or None."""
         root = self.root_index
         zero = self._zero
         for counts in self._root_counts(budget, requirement):
@@ -506,7 +528,11 @@ class CliqueWidthSolver:
         return self._scan(budget, requirement) is not None
 
     def select(self, budget: int, requirement: int = 0) -> frozenset[int] | None:
-        """A witness seed set for :meth:`decide`, or None when infeasible."""
+        """A witness seed set for :meth:`decide`, or None when infeasible.
+
+        The witness has the fewest seeds of any within the budget, so
+        ``select(n)`` is a minimum target set.
+        """
         counts = self._scan(budget, requirement)
         if counts is None:
             return None

@@ -51,12 +51,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)

@@ -167,25 +167,17 @@ def solve_detailed(
 
         if v not in required:
             continue
-        if up is not None:
-            if t == 0:
-                if mp == latency:
-                    seeds.add(v)
-                    time[v] = 0
-            elif act <= t - 2 or mp == latency:
+        # a root seeds iff act <= t - 1: with mp == latency, act is 0
+        if t == 0:
+            if mp == latency:
                 seeds.add(v)
                 time[v] = 0
-            elif act == t - 1:  # parent must finish the job
-                required.add(up)
-                path[v] = mp
-        else:
-            if t == 0:
-                if mp == latency:
-                    seeds.add(v)
-                    time[v] = 0
-            elif act <= t - 1:
-                seeds.add(v)
-                time[v] = 0
+        elif act <= t - 2 or mp == latency or (act == t - 1 and up is None):
+            seeds.add(v)
+            time[v] = 0
+        elif act == t - 1:  # parent must finish the job
+            required.add(up)
+            path[v] = mp
 
     return TreeSolveResult(
         frozenset(seeds),

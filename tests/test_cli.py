@@ -206,11 +206,21 @@ class TestSolveCommand:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cliquewidth.CliqueWidthSolver, "__init__", counting_init)
+        scans = []
+        select = cliquewidth.CliqueWidthSolver.select
+
+        def counting_select(self, *args, **kwargs):
+            scans.append(args)
+            return select(self, *args, **kwargs)
+
+        monkeypatch.setattr(cliquewidth.CliqueWidthSolver, "select", counting_select)
         code, doc = run(capsys, ["gen", "path", "--n", "6", "--latency", "2"])
         path = write(tmp_path, doc)
         code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
         assert code == 0 and out["variant"] == "lA" and out["size"] == 2
         assert len(built) == 1
+        # one scan at budget n finds the minimum
+        assert len(scans) == 1
 
     def test_deep_expression_solves(self, capsys, tmp_path):
         # a 400-vertex path nests its expression about 1,200 levels deep
@@ -305,6 +315,21 @@ class TestKexprCommand:
         path = write(tmp_path, doc)
         code, out = run(capsys, ["kexpr", "parse", "--instance", path])
         assert code == 0 and out["vertices"] == 2
+
+    def test_instance_kexpr_of_wrong_type_exits_two(self, capsys, tmp_path):
+        path = write(tmp_path, {"kexpr": 5})
+        code = main(["kexpr", "parse", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "field 'kexpr' has the wrong type" in captured.err
+
+    def test_deeply_nested_instance_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"kexpr": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["kexpr", "parse", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
 
 
 class TestGenCommand:

@@ -1,6 +1,7 @@
 """Clique-width solver: query semantics, witnesses, and oracle agreement."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -220,18 +221,40 @@ class TestDecideSelect:
         for _, reds in solver.queries(solver.root_index):
             assert reds == zero
 
-    def test_agrees_with_brute_force(self):
-        rng = random.Random(21)
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            expr = tree_expression(random_tree(n, rng), root=rng.randrange(n))
+    def test_root_scan_takes_fewest_seeds_first(self):
+        # root queries are memoized in scan order: by seed count, then
+        # lexicographic
+        rng = random.Random(23)
+        for _ in range(30):
+            expr = random_expression(rng, max_vertices=6, k=4)
             lg = evaluate(expr)
+            n = lg.graph.n
+            thr = tuple(rng.randint(0, lg.graph.degree(v) + 1) for v in range(n))
+            solver = CliqueWidthSolver(expr, thr, rng.randint(0, 2))
+            budget = rng.randint(0, n)
+            solver.decide(budget, rng.randint(0, n))
+            scanned = [counts for counts, _ in solver.queries(solver.root_index)]
+            assert all(sum(counts[0]) <= budget for counts in scanned)
+            assert scanned == sorted(scanned, key=lambda c: (sum(c[0]), c))
+
+    def test_agrees_with_brute_force(self):
+        # trees, then width-4 expressions: there a satisfiable root matrix
+        # with surplus seeds can precede the minimum lexicographically
+        rng = random.Random(21)
+        for i in range(125):
+            if i < 25:
+                n = rng.randint(1, 5)
+                expr = tree_expression(random_tree(n, rng), root=rng.randrange(n))
+            else:
+                expr = random_expression(rng, max_vertices=7, k=4)
+            lg = evaluate(expr)
+            n = lg.graph.n
             thr = tuple(rng.randint(0, lg.graph.degree(v) + 1) for v in range(n))
             lam = rng.randint(0, 2)
             solver = CliqueWidthSolver(expr, thr, lam)
             for budget in range(n + 1):
                 for req in range(n + 1):
-                    want, _ = brute_decision(lg.graph, thr, lam, budget, req)
+                    want, witness = brute_decision(lg.graph, thr, lam, budget, req)
                     assert solver.decide(budget, req) == want
                     if want:
                         chosen = solver.select(budget, req)
@@ -239,6 +262,7 @@ class TestDecideSelect:
                             lg.graph, thr, lam, budget=budget, requirement=req
                         )
                         assert verify_solution(inst, chosen)
+                        assert len(chosen) == len(witness)
 
 
 class TestTargetVariant:
@@ -265,37 +289,41 @@ class TestTargetVariant:
         assert {int(lg.names[v]) for v in chosen} == {1}
 
     def test_agrees_with_brute_force(self):
+        # trees, then width-4 expressions
         rng = random.Random(31)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            expr = tree_expression(random_tree(n, rng))
+        for i in range(120):
+            if i < 20:
+                expr = tree_expression(random_tree(rng.randint(1, 5), rng))
+            else:
+                expr = random_expression(rng, max_vertices=7, k=4)
             lg = evaluate(expr)
+            n = lg.graph.n
             thr = tuple(rng.randint(0, lg.graph.degree(v) + 1) for v in range(n))
             lam = rng.randint(0, 2)
             for _ in range(6):
                 targets = {v for v in range(n) if rng.random() < 0.5}
                 budget = rng.randint(0, n)
-                want = (
-                    brute_select_targets(lg.graph, thr, lam, budget, targets)
-                    is not None
+                want = brute_select_targets(lg.graph, thr, lam, budget, targets)
+                assert decide_targets(expr, thr, lam, budget, targets) == (
+                    want is not None
                 )
-                assert decide_targets(expr, thr, lam, budget, targets) == want
-                if want:
+                if want is not None:
                     chosen = select_targets(expr, thr, lam, budget, targets)
                     inst = Instance(
                         lg.graph, thr, lam, budget=budget, targets=targets
                     )
                     assert verify_solution(inst, chosen)
+                    assert len(chosen) == len(want)
 
 
 class TestStallPruning:
     """The root scan at latency n, where most rounds must stay empty."""
 
-    def instances(self, seed, count):
+    def instances(self, seed, count, k=3):
         rng = random.Random(seed)
         for i in range(count):
             if i % 2:
-                expr = random_expression(rng, max_vertices=6, k=3)
+                expr = random_expression(rng, max_vertices=6, k=k)
             else:
                 expr = tree_expression(random_tree(rng.randint(1, 6), rng))
             lg = evaluate(expr)
@@ -316,7 +344,8 @@ class TestStallPruning:
                     assert solver.decide(budget, req) == want
 
     def test_targets_match_brute_force(self):
-        for expr, graph, thr, targets in self.instances(53, 16):
+        cases = chain(self.instances(53, 16), self.instances(59, 16, k=4))
+        for expr, graph, thr, targets in cases:
             n = graph.n
             solver = CliqueWidthSolver(expr, thr, n, targets)
             smallest = len(brute_min_target(graph, thr, n, targets))
@@ -328,6 +357,7 @@ class TestStallPruning:
                 if chosen is not None:
                     inst = Instance(graph, thr, n, budget=budget, targets=targets)
                     assert verify_solution(inst, chosen)
+                    assert len(chosen) == len(want)
 
     def test_no_root_query_resumes_after_an_empty_round(self):
         for expr, graph, thr, targets in self.instances(57, 8):
