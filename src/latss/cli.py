@@ -323,7 +323,7 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
                 "command": "kexpr.parse",
                 "formatted": kexpr.unparse(expression),
                 "width": kexpr.width(expression),
-                "vertices": kexpr.leaf_count(expression),
+                "vertices": len(kexpr.leaf_names(expression)),
             },
             args.output,
         )
@@ -362,7 +362,7 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
     # lift
     names = set(args.targets.split(",")) if args.targets else set()
     names.discard("")
-    lifted = kexpr.lift_targets(expression, names, args.k)
+    lifted = kexpr.lift_targets(expression, names)
     _emit(
         {
             "command": "kexpr.lift",
@@ -391,6 +391,8 @@ def _instance_doc_from_expression(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.latency is not None and args.latency < 0:
+        raise ValueError("latency must be non-negative")
     family = args.family
     rng = Random(args.seed)
     if family == "path":
@@ -449,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--file")
     p_k.add_argument("--instance")
     p_k.add_argument("--targets", help="comma-separated vertex names (lift)")
-    p_k.add_argument("--k", type=int)
     p_k.add_argument("--output")
 
     p_gen = sub.add_parser("gen", help="generate instance documents")

@@ -55,12 +55,10 @@ from .kexpr import (
     LabeledGraph,
     Leaf,
     Union,
-    _postorder,
+    _checked_postorder,
     check_irredundant,  # unused here; perfbench/tracing.py rebinds it by this name
     evaluate,
     lift_targets,  # unused here; perfbench/tracing.py rebinds it by this name
-    validate,
-    width,
 )
 
 CountMatrix = tuple[tuple[int, ...], ...]
@@ -186,16 +184,15 @@ class CliqueWidthSolver:
         latency: int,
         targets: Iterable[int] = (),
     ) -> None:
-        validate(expr)
-        # one walk evaluates the expression and finds redundant insertions
+        # the checked pass and evaluate's walk, which also finds redundant
+        # insertions, are the constructor's only traversals
+        post, self.k = _checked_postorder(expr)
         self.labeled = evaluate(expr)
         if self.labeled.violations:
             raise IrredundancyError(list(self.labeled.violations))
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        self.expr = expr
         self.latency = latency
-        self.k = width(expr)
         self.thresholds = normalize_thresholds(
             self.labeled.graph, thresholds
         )
@@ -208,30 +205,28 @@ class CliqueWidthSolver:
             name: v for v, name in enumerate(self.labeled.names)
         }
         self._zero = zero_reductions(latency, self.k)
-        self._build_nodes()
+        self._build_nodes(post)
         self._memo: list[dict] = [{} for _ in self._kind]
         # column splits by (column, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
 
     # -- expression-tree tables ------------------------------------------
 
-    def _build_nodes(self) -> None:
-        post = _postorder(self.expr)
+    def _build_nodes(self, post: list[KExpr]) -> None:
         k = self.k
         kind: list[str] = []
         info: list[tuple] = []
         label_counts: list[tuple[int, ...]] = []
         target_counts: list[tuple[int, ...]] = []
         stack: list[int] = []
-        vid = 0
         for idx, node in enumerate(post):
             if isinstance(node, Leaf):
+                vid = self._name_to_vid[node.name]
                 kind.append("leaf")
                 info.append((vid, node.label - 1))
                 one_hot = tuple(int(l == node.label - 1) for l in range(k))
                 label_counts.append(one_hot)
                 target_counts.append(one_hot if vid in self.targets else (0,) * k)
-                vid += 1
             elif isinstance(node, Union):
                 right = stack.pop()
                 left = stack.pop()

@@ -22,7 +22,10 @@ works out a line and column only when it raises.  :func:`evaluate`,
 :func:`check_irredundant` and :func:`normalize_irredundant` are loops
 over one shared walk that keeps the label classes and the path from the
 root, so each runs in one pass over the expression, near-linear in its
-size plus the edges it produces.
+size plus the edges it produces.  :func:`validate` and :func:`width`
+share one checked post-order pass; the clique-width solver builds its
+node table from that pass's node list, so it walks an expression only
+there and in :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -273,19 +276,18 @@ def unparse(expr: KExpr) -> str:
 
 
 def _postorder(expr: KExpr) -> list[KExpr]:
+    # a pre-order that takes right operands first, reversed, is the post-order
     out: list[KExpr] = []
-    stack: list[tuple[KExpr, bool]] = [(expr, False)]
+    stack = [expr]
     while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-            continue
-        stack.append((node, True))
+        node = stack.pop()
+        out.append(node)
         if isinstance(node, Union):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, (Eta, Rho)):
-            stack.append((node.child, False))
+            stack.append(node.left)
+            stack.append(node.right)
+        elif not isinstance(node, Leaf):
+            stack.append(node.child)
+    out.reverse()
     return out
 
 
@@ -312,43 +314,52 @@ def fold(
     return vals[0]
 
 
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def _checked_postorder(expr: KExpr) -> tuple[list[KExpr], int]:
+    """Post-order node list and width; raises as :func:`validate` does."""
+    post = _postorder(expr)
+    names: set[str] = set()
+    # raised by comparisons: a max() call per node costs about as much as the walk
+    w = 0
+    for node in post:
+        if isinstance(node, Leaf):
+            if node.label < 1:
+                raise KExprError(f"leaf {node.name!r} has label {node.label} < 1")
+            if node.name in names:
+                raise KExprError(f"duplicate vertex name {node.name!r}")
+            if not _NAME_RE.fullmatch(node.name):
+                raise KExprError(f"invalid vertex name {node.name!r}")
+            names.add(node.name)
+            if node.label > w:
+                w = node.label
+        elif not isinstance(node, Union):
+            a, b = node.a, node.b
+            if a < 1 or b < 1:
+                raise KExprError("labels start at 1")
+            if a == b:
+                op = "eta" if isinstance(node, Eta) else "rho"
+                raise KExprError(f"{op} needs two distinct labels, got {a} twice")
+            if a > w:
+                w = a
+            if b > w:
+                w = b
+    return post, w
+
+
 def validate(expr: KExpr) -> None:
     """Well-formedness for programmatically built trees.
 
     Checks what the parser checks: positive labels, distinct labels in
     every edge-insertion/rename, and globally unique leaf names.
     """
-    names: set[str] = set()
-    for node in _postorder(expr):
-        if isinstance(node, Leaf):
-            if node.label < 1:
-                raise KExprError(f"leaf {node.name!r} has label {node.label} < 1")
-            if node.name in names:
-                raise KExprError(f"duplicate vertex name {node.name!r}")
-            if not re.fullmatch(r"[A-Za-z0-9_]+", node.name):
-                raise KExprError(f"invalid vertex name {node.name!r}")
-            names.add(node.name)
-        elif isinstance(node, (Eta, Rho)):
-            if node.a < 1 or node.b < 1:
-                raise KExprError("labels start at 1")
-            if node.a == node.b:
-                op = "eta" if isinstance(node, Eta) else "rho"
-                raise KExprError(f"{op} needs two distinct labels, got {node.a} twice")
+    _checked_postorder(expr)
 
 
 def width(expr: KExpr) -> int:
-    """Largest label mentioned anywhere in the expression."""
-    w = 0
-    for node in _postorder(expr):
-        if isinstance(node, Leaf):
-            w = max(w, node.label)
-        elif isinstance(node, (Eta, Rho)):
-            w = max(w, node.a, node.b)
-    return w
-
-
-def leaf_count(expr: KExpr) -> int:
-    return sum(1 for node in _postorder(expr) if isinstance(node, Leaf))
+    """Largest label anywhere in the expression; raises as :func:`validate` does."""
+    return _checked_postorder(expr)[1]
 
 
 def leaf_names(expr: KExpr) -> list[str]:
@@ -533,20 +544,18 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
 # target lifting
 
 
-def lift_targets(expr: KExpr, target_names: Iterable[str], k: int | None = None) -> KExpr:
+def lift_targets(expr: KExpr, target_names: Iterable[str]) -> KExpr:
     """Split every label class into a plain and a distinguished half.
 
     Leaves whose names are in ``target_names`` get their label shifted
-    up by ``k``; every edge-insertion becomes the composition of the
-    four insertions between the split halves, and every rename acts on
-    both halves in parallel.  The lifted expression evaluates to the
-    same graph, with the distinguished vertices carrying labels > k.
+    up by the expression's width k; every edge-insertion becomes the
+    composition of the four insertions between the split halves, and
+    every rename acts on both halves in parallel.  The lifted
+    expression evaluates to the same graph, with the distinguished
+    vertices carrying labels > k.
     """
     wanted = set(target_names)
-    if k is None:
-        k = width(expr)
-    elif width(expr) > k:
-        raise KExprError(f"expression uses labels above k={k}")
+    k = width(expr)
     seen: set[str] = set()
 
     def on_leaf(node):

@@ -48,13 +48,6 @@ def cascade(
     return active
 
 
-def _guard(graph: Graph, limit: int) -> None:
-    if graph.n > limit:
-        raise ValueError(
-            f"instance has {graph.n} vertices; brute force is capped at {limit}"
-        )
-
-
 def _mask(vertices: Iterable[int], n: int) -> int:
     mask = 0
     for v in vertices:
@@ -71,14 +64,16 @@ def _first_seed(
     max_size: int,
     targets: Iterable[int],
     requirement: int,
-    limit: int,
 ) -> frozenset[int] | None:
     """First seed set activating every target and ``requirement`` vertices.
 
     Tries seed sets of at most ``max_size`` vertices by size, then
     lexicographically, and returns None when none succeeds.
     """
-    _guard(graph, limit)
+    if graph.n > DEFAULT_LIMIT:
+        raise ValueError(
+            f"instance has {graph.n} vertices; brute force is capped at {DEFAULT_LIMIT}"
+        )
     n = graph.n
     tmask = _mask(targets, n)
     masks = neighbor_masks(graph)
@@ -98,15 +93,13 @@ def brute_min_target(
     thresholds: Sequence[int],
     latency: int,
     targets: Iterable[int],
-    *,
-    limit: int = DEFAULT_LIMIT,
 ) -> frozenset[int]:
     """Smallest seed set activating every target within the latency bound.
 
     Returns the lexicographically smallest optimum.  Always succeeds:
     seeding all vertices is feasible.
     """
-    found = _first_seed(graph, thresholds, latency, graph.n, targets, 0, limit)
+    found = _first_seed(graph, thresholds, latency, graph.n, targets, 0)
     if found is None:
         raise AssertionError("unreachable: seeding all vertices is feasible")
     return found
@@ -118,15 +111,13 @@ def brute_decision(
     latency: int,
     budget: int,
     requirement: int,
-    *,
-    limit: int = DEFAULT_LIMIT,
 ) -> tuple[bool, frozenset[int] | None]:
     """Can ``requirement`` vertices be activated with at most ``budget`` seeds?
 
     Returns the decision with a witness seed set (smallest, then
     lexicographic) or ``None``.
     """
-    found = _first_seed(graph, thresholds, latency, budget, (), requirement, limit)
+    found = _first_seed(graph, thresholds, latency, budget, (), requirement)
     return found is not None, found
 
 
@@ -136,8 +127,6 @@ def brute_select_targets(
     latency: int,
     budget: int,
     targets: Iterable[int],
-    *,
-    limit: int = DEFAULT_LIMIT,
 ) -> frozenset[int] | None:
     """Minimum seed set activating all targets, or ``None`` if it exceeds budget."""
-    return _first_seed(graph, thresholds, latency, budget, targets, 0, limit)
+    return _first_seed(graph, thresholds, latency, budget, targets, 0)

@@ -356,3 +356,10 @@ class TestGenCommand:
     def test_latency_override(self, capsys):
         code, doc = run(capsys, ["gen", "path", "--n", "4", "--latency", "2"])
         assert code == 0 and doc["lambda"] == 2
+
+    def test_negative_latency_exits_two(self, capsys):
+        # every solve refuses a negative lambda, so gen must not write one
+        code = main(["gen", "path", "--n", "3", "--latency", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: latency must be non-negative\n"

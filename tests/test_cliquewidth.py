@@ -177,6 +177,25 @@ class TestEtaQueries:
         assert calls == ["evaluate"] * 2
         assert [v.path for v in err.value.violations] == [()]
 
+    def test_constructor_makes_one_post_order_traversal(self, monkeypatch):
+        # the checked pass gives the width, the well-formedness verdict and
+        # the node table's order; evaluate's walk gives everything else
+        from latss import cliquewidth, kexpr
+
+        calls = []
+        for module, name in ((kexpr, "_postorder"), (cliquewidth, "evaluate")):
+            original = getattr(module, name)
+
+            def counted(expr, original=original, name=name):
+                calls.append(name)
+                return original(expr)
+
+            monkeypatch.setattr(module, name, counted)
+        solver = CliqueWidthSolver(path_expression(40), (1,) * 40, 2)
+        assert sorted(calls) == ["_postorder", "evaluate"]
+        # 40 leaves, 39 unions, 39 etas and two renames per vertex from the fourth
+        assert solver.k == 3 and solver.node_count == 40 + 39 + 39 + 2 * 37
+
 
 class TestRhoQueries:
     def test_forced_split_when_source_class_empty(self):

@@ -6,9 +6,11 @@ import time
 import pytest
 from hypothesis import given, settings
 
+from latss.cliquewidth import CliqueWidthSolver
 from latss.graphs import Graph, path_graph, random_tree
 from latss.kexpr import (
     Eta,
+    KExprError,
     Leaf,
     ParseError,
     PartialRedundancyError,
@@ -141,6 +143,30 @@ class TestValidate:
         with pytest.raises(ValueError, match="distinct"):
             validate(Eta(2, 2, Leaf(1, "u")))
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Leaf(0, "u"),
+            Eta(2, 2, Union(Leaf(2, "v"), Leaf(1, "u"))),
+            Rho(1, 1, Leaf(1, "u")),
+            Union(Leaf(1, "u"), Leaf(2, "u")),
+        ],
+        ids=["label-0-leaf", "eta-2-2", "rho-1-1", "duplicate-names"],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [
+            validate,
+            width,
+            lambda expr: CliqueWidthSolver(expr, [1] * len(leaf_names(expr)), 1),
+        ],
+        ids=["validate", "width", "solver"],
+    )
+    def test_malformed_trees_are_refused(self, expr, check):
+        # all three run the same checked pass before using the tree
+        with pytest.raises(KExprError):
+            check(expr)
+
 
 class TestEvaluate:
     def test_path_on_five_vertices(self):
@@ -247,14 +273,14 @@ class TestNormalizeIrredundant:
 class TestLiftTargets:
     def test_empty_target_set_preserves_labels(self):
         expr = parse(P5_TEXT)
-        lifted = lift_targets(expr, set(), 3)
+        lifted = lift_targets(expr, set())
         lg = evaluate(lifted)
         base = evaluate(expr)
         assert lg.graph == base.graph
         assert max(lg.labels) <= 3
 
     def test_distinguished_leaf_and_edge_survive(self):
-        lifted = lift_targets(parse("eta(2,1, U(2(v), 1(u)))"), {"v"}, 2)
+        lifted = lift_targets(parse("eta(2,1, U(2(v), 1(u)))"), {"v"})
         lg = evaluate(lifted)
         assert lg.graph.edges == frozenset({(0, 1)})
         assert lg.labels[lg.names.index("v")] == 4
@@ -262,18 +288,18 @@ class TestLiftTargets:
 
     def test_all_targets_shift_every_label(self):
         expr = parse(P5_TEXT)
-        lifted = lift_targets(expr, {"u", "v", "x", "y", "z"}, 3)
+        lifted = lift_targets(expr, {"u", "v", "x", "y", "z"})
         lg = evaluate(lifted)
         assert lg.graph == evaluate(expr).graph
         assert all(lab > 3 for lab in lg.labels)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            lift_targets(parse("1(u)"), {"w"}, 1)
+            lift_targets(parse("1(u)"), {"w"})
 
     def test_lifted_expression_is_still_accepted(self):
         expr = parse(P5_TEXT)
-        lifted = lift_targets(expr, {"x"}, 3)
+        lifted = lift_targets(expr, {"x"})
         assert check_irredundant(lifted) == []
 
     @settings(max_examples=100)
@@ -283,7 +309,7 @@ class TestLiftTargets:
         names = leaf_names(expr)
         chosen = {name for name in names if rng.random() < 0.5}
         k = width(expr)
-        lifted = lift_targets(expr, chosen, k)
+        lifted = lift_targets(expr, chosen)
         base = evaluate(expr)
         lg = evaluate(lifted)
         assert lg.graph == base.graph
