@@ -146,6 +146,11 @@ def _emit(doc: dict, output: str | None) -> None:
         print(text)
 
 
+def _edge_list(graph: Graph) -> list[list[int]]:
+    """``sorted(map(list, graph.edges))``, read off the sorted adjacency."""
+    return [[u, v] for u, nb in enumerate(graph.adjacency) for v in nb if v > u]
+
+
 def _csv_ints(text: str, what: str) -> list[int]:
     if text.strip() == "":
         return []
@@ -318,12 +323,13 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
     expression = kexpr.parse(text)
     action = args.action
     if action == "parse":
+        post, k = kexpr._checked_postorder(expression)
         _emit(
             {
                 "command": "kexpr.parse",
                 "formatted": kexpr.unparse(expression),
-                "width": kexpr.width(expression),
-                "vertices": len(kexpr.leaf_names(expression)),
+                "width": k,
+                "vertices": sum(isinstance(node, kexpr.Leaf) for node in post),
             },
             args.output,
         )
@@ -334,7 +340,7 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
             {
                 "command": "kexpr.eval",
                 "n": labeled.graph.n,
-                "edges": sorted([u, v] for u, v in labeled.graph.edges),
+                "edges": _edge_list(labeled.graph),
                 "labels": list(labeled.labels),
                 "names": list(labeled.names),
             },
@@ -382,7 +388,7 @@ def _instance_doc_from_expression(
     n = labeled.graph.n
     return {
         "n": n,
-        "edges": sorted([u, v] for u, v in labeled.graph.edges),
+        "edges": _edge_list(labeled.graph),
         "thresholds": [1] * n,
         "lambda": latency if latency is not None else n,
         "targets": list(range(n)),

@@ -38,8 +38,22 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             es.add((u, v) if u < v else (v, u))
+        self._fill(n, es)
+
+    @classmethod
+    def _from_normalized(cls, n: int, edges: set[tuple[int, int]]) -> "Graph":
+        """A graph from pairs ``(u, v)`` with ``0 <= u < v < n``, taken unchecked.
+
+        For edge sets this package builds itself; outside input goes
+        through the checking constructor.
+        """
+        graph = cls.__new__(cls)
+        graph._fill(n, edges)
+        return graph
+
+    def _fill(self, n: int, edges: set[tuple[int, int]]) -> None:
         self.n: int = n
-        self.edges: frozenset[tuple[int, int]] = frozenset(es)
+        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)

@@ -17,8 +17,11 @@ in the printed text).  All traversals here are iterative, so deeply
 nested expressions — paths with hundreds of thousands of vertices — do
 not hit the interpreter's recursion limit.
 
-The parser takes tokens from one compiled regex as it needs them and
-works out a line and column only when it raises.  :func:`evaluate`,
+The parser first finds any unexpected character with one regex search,
+then lists the tokens as plain strings a window of text at a time, not
+one by one as it needs them, and works out a line and column only when
+it raises.  :func:`evaluate` builds its graph without re-checking the
+edges its own walk produced.  :func:`evaluate`,
 :func:`check_irredundant` and :func:`normalize_irredundant` are loops
 over one shared walk that keeps the label classes and the path from the
 root, so each runs in one pass over the expression, near-linear in its
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Sequence, Union as TypingUnion
 
@@ -132,20 +136,87 @@ class IrredundancyViolation:
 # scanner / parser
 
 
-# One token per match, told apart by group: a word, a punctuation mark,
-# or any other non-blank character (an error).  Whitespace never matches.
-_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)|(->|[(),])|(\S)")
-_WORD, _PUNCT, _BAD = 1, 2, 3
+# Any character the grammar has no token for: a '-' not starting '->', a
+# '>' not ending one, or a non-blank that is no word character or mark.
+_BAD_RE = re.compile(r"[^\sA-Za-z0-9_(),>-]|-(?!>)|(?<!-)>")
+# Once _BAD_RE finds nothing, every non-blank belongs to one of these.
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|->|[(),]")
+# Tokens are listed a window of text at a time; a window ends just after
+# the first ',' this many characters in, so no token spans two windows.
+_WINDOW = 1 << 16
+# Tokens read past a construct's head: "eta ( a , b ," is the longest.
+_LOOKAHEAD = 6
+_END = [""] * _LOOKAHEAD  # "" stands for the end of the input
+_MARKS = frozenset(["(", ")", ",", "->", ""])  # every token that is no word
+_HEADERS = {"eta": (Eta, ","), "rho": (Rho, "->")}
 
 
-class _Frame:
-    __slots__ = ("op", "a", "b", "left")
+def _windows(text: str):
+    """The text's tokens, a window at a time; the last window ends with ``_END``."""
+    pos, end = 0, len(text)
+    while True:
+        cut = text.find(",", pos + _WINDOW) + 1 or end
+        toks = _TOKEN_RE.findall(text, pos, cut)
+        if cut == end:
+            yield toks + _END
+            return
+        yield toks
+        pos = cut
 
-    def __init__(self, op: str, a: int = 0, b: int = 0) -> None:
-        self.op = op
-        self.a = a
-        self.b = b
-        self.left: KExpr | None = None
+
+def _parse_error(text: str, message: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _error(text: str, message: str, token: int) -> ParseError:
+    """The error at the ``token``-th token, found by scanning again; past the last, at the end."""
+    m = next(islice(_TOKEN_RE.finditer(text), token, None), None)
+    return _parse_error(text, message, len(text) if m is None else m.start())
+
+
+def _expected(text: str, want: str, found: str, token: int) -> ParseError:
+    return _error(text, f"expected {want!r}, found {found or 'end of input'!r}", token)
+
+
+def _construct_error(
+    text: str, toks: list[str], i: int, base: int, names: set[str]
+) -> ParseError:
+    """The first error in the leaf or the eta/rho head at ``toks[i]``, in reading order."""
+    head = toks[i]
+    if head.isdigit():
+        steps, j = ("label", "(", "name", ")"), i
+    else:
+        sep = _HEADERS[head][1]
+        steps, j = ("(", "label", sep, "label", "distinct", ","), i + 1
+    labels = []
+    for step in steps:
+        tok = toks[j]
+        if step == "label":
+            if not tok.isdigit():
+                return _error(
+                    text, f"expected a label, found {tok or 'end of input'!r}", base + j
+                )
+            labels.append(int(tok))
+            if not labels[-1]:
+                return _error(text, "labels start at 1", base + j)
+        elif step == "name":
+            if tok in _MARKS:
+                return _error(
+                    text, f"expected a vertex name, found {tok or 'end of input'!r}", base + j
+                )
+            if tok in names:
+                return _error(text, f"duplicate vertex name {tok!r}", base + j)
+        elif step == "distinct":
+            if labels[0] == labels[1]:
+                return _error(
+                    text, f"{head} needs two distinct labels, got {labels[0]} twice", base + i
+                )
+            continue  # reads no token
+        elif tok != step:
+            return _expected(text, step, tok, base + j)
+        j += 1
+    raise AssertionError(f"no error in the construct at token {base + i}")
 
 
 def parse(text: str) -> KExpr:
@@ -155,101 +226,110 @@ def parse(text: str) -> KExpr:
     vertex names, zero labels, or equal labels in an edge-insertion or
     rename.  An unexpected character anywhere in the text is reported
     before any other error.
+
+    One regex search finds the first unexpected character.  The tokens
+    are then listed as plain strings, one window of text at a time, and
+    the parser indexes into that short list, so memory beyond the tree
+    stays small.  A token's line and column are worked out only when it
+    raises, by scanning the text again up to that token.
     """
-    matches = _TOKEN_RE.finditer(text)
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        # a label too long for int() raises its ValueError first if the
+        # parser reaches it before the character; anything else is outranked
+        try:
+            parse(text[: bad.start()])
+        except ParseError:
+            pass
+        raise _parse_error(text, f"unexpected character {bad.group()!r}", bad.start())
 
-    def fail(message: str, offset: int):
-        # the text before offset scanned clean, so the first unexpected
-        # character, if any, lies at or after it
-        for m in _TOKEN_RE.finditer(text, offset):
-            if m.lastindex == _BAD:
-                message, offset = f"unexpected character {m.group()!r}", m.start()
-                break
-        line = text.count("\n", 0, offset) + 1
-        raise ParseError(message, line, offset - text.rfind("\n", 0, offset))
-
-    def take() -> tuple[str, str, int]:
-        """The next token as (kind, text, offset); kind is 'word', 'end' or the mark."""
-        m = next(matches, None)
-        if m is None:
-            return "end", "", len(text)
-        piece = m.group()
-        if m.lastindex == _WORD:
-            return "word", piece, m.start()
-        if m.lastindex == _BAD:
-            fail(f"unexpected character {piece!r}", m.start())
-        return piece, piece, m.start()
-
-    def expect(kind: str) -> None:
-        got, piece, offset = take()
-        if got != kind:
-            fail(f"expected {kind!r}, found {piece or 'end of input'!r}", offset)
-
-    def take_label() -> int:
-        kind, piece, offset = take()
-        if kind != "word" or not piece.isdigit():
-            fail(f"expected a label, found {piece or 'end of input'!r}", offset)
-        label = int(piece)
-        if label == 0:
-            fail("labels start at 1", offset)
-        return label
-
-    names_seen: set[str] = set()
-    frames: list[_Frame] = []
-
+    windows = _windows(text)
+    toks: list[str] = []
+    i = base = 0  # toks[i] is the next token, the (base + i)-th of the text
+    limit = -1  # list the next window before reading a head past toks[limit]
+    names: set[str] = set()
+    # the open operations, innermost last: None for a union awaiting its
+    # left operand, then that operand; a, b, Eta or Rho for an open eta or
+    # rho (flat, so a deep expression's stack stays small)
+    frames: list = []
     while True:
-        kind, head, start = take()
-        if kind != "word":
-            fail(f"expected an expression, found {head or 'end of input'!r}", start)
-        if head == "U":
-            expect("(")
-            frames.append(_Frame("U"))
-            continue
-        if head in ("eta", "rho"):
-            expect("(")
-            a = take_label()
-            expect("," if head == "eta" else "->")
-            b = take_label()
-            if a == b:
-                fail(f"{head} needs two distinct labels, got {a} twice", start)
-            expect(",")
-            frames.append(_Frame(head, a, b))
-            continue
-        if head.isdigit():
-            label = int(head)
-            if label == 0:
-                fail("labels start at 1", start)
-            expect("(")
-            kind, name, offset = take()
-            if kind != "word":
-                fail(f"expected a vertex name, found {name or 'end of input'!r}", offset)
-            if name in names_seen:
-                fail(f"duplicate vertex name {name!r}", offset)
-            names_seen.add(name)
-            expect(")")
-            value: KExpr = Leaf(label, name)
-        else:
-            fail(f"expected 'U', 'eta', 'rho', or a label, found {head!r}", start)
+        while i > limit:  # never past the last window: its _END stops the parse
+            toks = toks[i:] + next(windows)
+            base += i
+            limit = len(toks) - _LOOKAHEAD
+            i = 0
 
-        # Attach the completed subexpression upward.
+        head = toks[i]
+        header = _HEADERS.get(head)
+        if header is not None:
+            cls, sep = header
+            ta = toks[i + 2]
+            tb = toks[i + 4]
+            if (
+                toks[i + 1] == "("
+                and toks[i + 3] == sep
+                and toks[i + 5] == ","
+                and ta.isdigit()
+                and tb.isdigit()
+                and (a := int(ta))
+                and (b := int(tb))
+                and a != b
+            ):
+                frames += (a, b, cls)
+                i += 6
+                continue
+            raise _construct_error(text, toks, i, base, names)
+        if head == "U":
+            if toks[i + 1] != "(":
+                raise _expected(text, "(", toks[i + 1], base + i + 1)
+            frames.append(None)
+            i += 2
+            continue
+        if not head.isdigit():
+            message = (
+                f"expected an expression, found {head or 'end of input'!r}"
+                if head in _MARKS
+                else f"expected 'U', 'eta', 'rho', or a label, found {head!r}"
+            )
+            raise _error(text, message, base + i)
+        name = toks[i + 2]
+        if (
+            (label := int(head))
+            and toks[i + 1] == "("
+            and name not in _MARKS
+            and name not in names
+            and toks[i + 3] == ")"
+        ):
+            names.add(name)
+            value: KExpr = Leaf(label, name)
+            i += 4
+        else:
+            raise _construct_error(text, toks, i, base, names)
+
+        # Attach the completed subexpression upward.  A window ends with
+        # a ',' or _END, so these reads stay inside the list.
         while True:
+            tok = toks[i]
             if not frames:
-                expect("end")
+                if tok:
+                    raise _expected(text, "end", tok, base + i)
                 return value
             top = frames[-1]
-            if top.op == "U" and top.left is None:
-                top.left = value
-                expect(",")
+            if top is None:
+                if tok != ",":
+                    raise _expected(text, ",", tok, base + i)
+                frames[-1] = value
+                i += 1
                 break  # parse the right operand next
-            frames.pop()
-            expect(")")
-            if top.op == "U":
-                assert top.left is not None
-                value = Union(top.left, value)
-            elif top.op == "eta":
-                value = Eta(top.a, top.b, value)
+            if tok != ")":
+                raise _expected(text, ")", tok, base + i)
+            i += 1
+            if type(top) is type:
+                value = top(frames[-3], frames[-2], value)
+                del frames[-3:]
             else:
-                value = Rho(top.a, top.b, value)
+                value = Union(top, value)
+                frames.pop()
 
 
 def unparse(expr: KExpr) -> str:
@@ -482,9 +562,9 @@ def evaluate(expr: KExpr) -> LabeledGraph:
     for lab, ids in classes.items():
         for v in ids:
             labels[v] = lab
-    return LabeledGraph(
-        Graph(len(names), edges), tuple(labels), tuple(names), tuple(violations)
-    )
+    # the walk's pairs are normalized, in range and loop-free: no re-check
+    graph = Graph._from_normalized(len(names), edges)
+    return LabeledGraph(graph, tuple(labels), tuple(names), tuple(violations))
 
 
 def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:

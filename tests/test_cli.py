@@ -1,18 +1,42 @@
 """CLI dispatch, instance document validation, exit codes, output schema."""
 
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
 
 from latss import cliquewidth
-from latss.cli import document_to_instance, load_instance, main
+from latss.cli import _edge_list, document_to_instance, load_instance, main
 from latss.cli import InstanceError
+from latss.graphs import random_tree
+from latss.kexpr import (
+    KExprError,
+    cograph_expression,
+    evaluate,
+    parse,
+    path_expression,
+    tree_expression,
+    unparse,
+)
+
+from strategies import expressions, graphs
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def run_quietly(argv):
+    """Exit code and standard output of one run; for use inside Hypothesis."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def write(tmp_path, doc, name="instance.json"):
@@ -363,3 +387,93 @@ class TestGenCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: latency must be non-negative\n"
+
+
+class TestEdgeLists:
+    """``edges`` as written by ``kexpr eval`` and ``gen``: the sorted pairs."""
+
+    @settings(max_examples=300)
+    @given(graphs(max_n=10))
+    def test_read_off_the_adjacency(self, graph):
+        assert _edge_list(graph) == sorted(map(list, graph.edges))
+
+    @settings(max_examples=100)
+    @given(expressions(max_leaves=12))
+    def test_kexpr_eval(self, expr):
+        code, out = run_quietly(["kexpr", "eval", "--expr", unparse(expr)])
+        assert code == 0
+        assert json.loads(out)["edges"] == sorted(map(list, evaluate(expr).graph.edges))
+
+    @pytest.mark.parametrize("text", ["1(a)", "U(1(a), 1(b))", "rho(1->2, U(1(a), 1(b)))"])
+    def test_kexpr_eval_without_edges(self, capsys, text):
+        code, doc = run(capsys, ["kexpr", "eval", "--expr", text])
+        assert code == 0 and doc["edges"] == []
+
+    @pytest.mark.parametrize("family", ["path", "random-tree", "cograph"])
+    def test_gen(self, capsys, family):
+        edgeless = 0
+        for n in (1, 2, 3, 9):
+            for seed in range(4):
+                code, doc = run(capsys, ["gen", family, "--n", str(n), "--seed", str(seed)])
+                graph = evaluate(parse(doc["kexpr"])).graph
+                assert code == 0 and doc["n"] == graph.n == n
+                assert doc["edges"] == sorted(map(list, graph.edges))
+                edgeless += not doc["edges"]
+        assert edgeless >= 4  # every n = 1 document
+
+
+class TestFrontEndFuzz:
+    """Mutated expression texts end in a result or an input error, never a fault."""
+
+    PIECES = ["(", ")", ",", "->", "-", ">", "0", "1", "7", "U", "eta", "rho", "x",
+              " ", "\n", "\u00e9", "!", "U(", "1(y)", "eta(1,2,"]
+
+    def _mutate(self, rng, text):
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            at = rng.randrange(len(text) + 1)
+            op = rng.randrange(5)
+            if op == 0:
+                text = text[:at] + text[at + 1 :]
+            elif op == 1:
+                text = text[:at] + rng.choice(self.PIECES) + text[at:]
+            elif op == 2:
+                text = text[:at] + rng.choice(self.PIECES) + text[at + 1 :]
+            elif op == 3:
+                text = text[:at]
+            else:
+                end = rng.randrange(at, len(text) + 1)
+                text = text[:at] + text[at:end] * 2 + text[end:]
+        return text
+
+    def test_mutated_texts(self):
+        rng = random.Random(20240611)
+        parsed = 0
+        for step in range(400):
+            n = rng.randint(1, 12)
+            family = step % 3
+            if family == 0:
+                expr = path_expression(n)
+            elif family == 1:
+                expr = tree_expression(random_tree(n, rng))
+            else:
+                expr = cograph_expression(n, rng)
+            text = unparse(expr)
+            if step % 8:  # every eighth text goes in unchanged
+                text = self._mutate(rng, text)
+            codes = []
+            for action in ("parse", "eval"):
+                code, out = run_quietly(["kexpr", action, "--expr=" + text])
+                assert code in (0, 1, 2), (action, text)
+                codes.append(code)
+            try:
+                tree = parse(text)
+            except KExprError:
+                assert codes == [2, 2], text
+                continue
+            parsed += 1
+            assert codes == [0, 0], text
+            formatted = unparse(tree)
+            assert parse(formatted) == tree
+            code, out = run_quietly(["kexpr", "parse", "--expr=" + text])
+            assert json.loads(out)["formatted"] == formatted
+        assert 50 <= parsed < 400  # both outcomes are exercised

@@ -1,7 +1,9 @@
 """Parser, printer, evaluator, validators, lifting, and generators."""
 
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,105 @@ class TestParse:
         expr = parse("U(1(eta), 1(U))")
         assert leaf_names(expr) == ["eta", "U"]
 
+    @pytest.mark.parametrize(
+        "bad, char, shift",
+        [
+            ("-", "-", 0),
+            (">", ">", 0),
+            ("-->", "-", 0),  # the first '-' starts no '->'
+            ("->>", ">", 2),  # the second '>' ends none
+            ("\u00e9", "\u00e9", 0),
+            ("!", "!", 0),
+        ],
+    )
+    def test_unexpected_character_outranks_earlier_errors(self, bad, char, shift):
+        # line 1 already lacks a ',' between 1(a) and 1(b)
+        text = "U(1(a) 1(b),\n  2(c), " + bad + " 3(d))"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == (
+            f"unexpected character {char!r} (line 2, column {9 + shift})"
+        )
+        assert (err.value.line, err.value.col) == (2, 9 + shift)
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
+    def test_over_long_label_is_read_before_a_later_bad_character(self):
+        # int() refuses the label when the parser reaches it, ahead of the
+        # '%'; a syntax error before the label leaves the '%' to be reported
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError) as err:
+            parse(f"eta({digits},1, 1(u)) %")
+        assert not isinstance(err.value, ParseError)
+        with pytest.raises(ParseError, match="unexpected character '%'"):
+            parse(f"U(1(u) %, eta({digits},1, 1(v)))")
+
+    @staticmethod
+    def _position(text, offset):
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    def test_errors_past_the_first_window(self):
+        # one union per line; the text spans several token windows
+        text = unparse(path_expression(5000)).replace(", U(", ",\n U(")
+        assert len(text) > 3 * (1 << 16) and text.count("1(4999)") == 1
+        cases = [
+            (text.replace("1(4999)", "0(4999)"), "labels start at 1", text.index("1(4999)")),
+            (text[:-1], "expected ')', found 'end of input'", len(text) - 1),
+            (text + " 1(x)", "expected 'end', found '1'", len(text) + 1),
+        ]
+        for bad_text, message, offset in cases:
+            line, col = self._position(bad_text, offset)
+            with pytest.raises(ParseError) as err:
+                parse(bad_text)
+            assert str(err.value) == f"{message} (line {line}, column {col})"
+            assert (err.value.line, err.value.col) == (line, col)
+
+    def test_errors_around_a_window_edge(self):
+        # the first window ends just after the first ',' 64 KiB in: break
+        # the unions just before and after it
+        text = unparse(path_expression(3000))
+        edge = text.index(",", 1 << 16) + 1
+        starts = [m for m in range(edge - 200, edge + 200) if text.startswith("U(", m)]
+        assert any(m < edge for m in starts) and any(m > edge for m in starts)
+        for m in starts:
+            with pytest.raises(ParseError) as err:
+                parse(text[:m] + "V" + text[m + 1 :])
+            assert str(err.value) == (
+                "expected 'U', 'eta', 'rho', or a label, found 'V' "
+                f"(line 1, column {m + 1})"
+            )
+
+    def test_random_trees_over_several_windows_round_trip(self):
+        # their texts close long runs of ')' just before a ',', where a
+        # window may end
+        for seed in range(4):
+            text = unparse(tree_expression(random_tree(3000, random.Random(seed))))
+            assert len(text) > 1 << 16
+            assert unparse(parse(text)) == text
+
+    def test_hundred_thousand_deep_path(self):
+        text = unparse(path_expression(25_002))
+        expr = parse(text)
+        depth = 0
+        node = expr
+        while not isinstance(node, Leaf):
+            node = node.right if isinstance(node, Union) else node.child
+            depth += 1
+        assert depth >= 100_000
+        assert unparse(expr) == text
+
+    def test_parse_memory_stays_near_the_tree(self):
+        # a list of every token would hold about 2.7 times the tree
+        text = unparse(path_expression(10_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            expr = parse(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert expr is not None
+        assert peak - before <= 1.5 * (kept - before)
+
 
 class TestUnparse:
     def test_leaf(self):
@@ -193,6 +294,18 @@ class TestEvaluate:
     def test_vertex_ids_follow_leaf_order(self):
         lg = evaluate(parse("U(U(1(a), 1(b)), 1(c))"))
         assert lg.names == ("a", "b", "c")
+
+    @settings(max_examples=300)
+    @given(expressions(max_leaves=12))
+    def test_graph_matches_the_checking_constructor(self, expr):
+        # evaluate builds its graph unchecked; the checking constructor,
+        # fed the same pairs reversed, must build the very same one
+        graph = evaluate(expr).graph
+        checked = Graph(graph.n, [(v, u) for u, v in graph.edges])
+        assert graph == checked
+        assert graph.edges == checked.edges
+        assert graph.adjacency == checked.adjacency
+        assert type(graph.edges) is frozenset and type(graph.adjacency) is tuple
 
 
 class TestCheckIrredundant:
