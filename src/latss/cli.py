@@ -58,11 +58,12 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
 
-    def need(field: str, kind) -> Any:
+    # JSON decodes to exactly these types, and a bool is no int
+    def need(field: str, kind: type) -> Any:
         if field not in doc:
             raise InstanceError(f"missing field {field!r}")
         value = doc[field]
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if type(value) is not kind:
             raise InstanceError(f"field {field!r} has the wrong type")
         return value
 
@@ -72,18 +73,16 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     raw_edges = need("edges", list)
     edges = []
     for item in raw_edges:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
+        if not (
+            type(item) is list
+            and len(item) == 2
+            and type(item[0]) is int
+            and type(item[1]) is int
         ):
             raise InstanceError(f"bad edge entry {item!r}")
         edges.append((item[0], item[1]))
     thresholds = need("thresholds", list)
-    if len(thresholds) != n or not all(
-        isinstance(t, int) and not isinstance(t, bool) and t >= 0
-        for t in thresholds
-    ):
+    if len(thresholds) != n or not all(type(t) is int and t >= 0 for t in thresholds):
         raise InstanceError("thresholds must be n non-negative integers")
     latency = need("lambda", int)
 
@@ -94,9 +93,7 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
         optional["requirement"] = need("alpha", int)
     if "targets" in doc:
         targets = need("targets", list)
-        if not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in targets
-        ):
+        if not all(type(v) is int for v in targets):
             raise InstanceError("targets must be a list of vertex ids")
         optional["targets"] = frozenset(targets)
 
@@ -469,6 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "solve": _cmd_solve,
@@ -478,8 +477,7 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
     except (InstanceError, kexpr.KExprError, ValueError) as exc:

@@ -8,7 +8,7 @@ classes, and rename a label.  Concrete syntax (whitespace insignificant):
            | "U(" expr "," expr ")"
            | "eta(" label "," label "," expr ")"
            | "rho(" label "->" label "," expr ")"
-    label := positive integer
+    label := positive integer of at most sys.get_int_max_str_digits() digits
     ident := [A-Za-z0-9_]+
 
 Vertex ids of an evaluated expression are assigned by leaf order in a
@@ -18,22 +18,24 @@ nested expressions — paths with hundreds of thousands of vertices — do
 not hit the interpreter's recursion limit.
 
 The parser first finds any unexpected character with one regex search,
-then lists the tokens as plain strings a window of text at a time, not
-one by one as it needs them, and works out a line and column only when
-it raises.  :func:`evaluate` builds its graph without re-checking the
-edges its own walk produced.  :func:`evaluate`,
-:func:`check_irredundant` and :func:`normalize_irredundant` are loops
-over one shared walk that keeps the label classes and the path from the
-root, so each runs in one pass over the expression, near-linear in its
-size plus the edges it produces.  :func:`validate` and :func:`width`
-share one checked post-order pass; the clique-width solver builds its
-node table from that pass's node list, so it walks an expression only
-there and in :func:`evaluate`.
+and reports it ahead of every other error.  It then lists the tokens as
+plain strings a window of text at a time, not one by one as it needs
+them, checks each construct once, token by token in reading order, and
+works out a line and column only when it raises.  :func:`evaluate`
+builds its graph without re-checking the edges its own walk produced.
+:func:`evaluate`, :func:`check_irredundant` and
+:func:`normalize_irredundant` are loops over one shared walk that keeps
+the label classes and the path from the root, so each runs in one pass
+over the expression, near-linear in its size plus the edges it produces.
+:func:`validate` and :func:`width` share one checked post-order pass;
+the clique-width solver builds its node table from that pass's node
+list, so it walks an expression only there and in :func:`evaluate`.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
@@ -179,53 +181,15 @@ def _expected(text: str, want: str, found: str, token: int) -> ParseError:
     return _error(text, f"expected {want!r}, found {found or 'end of input'!r}", token)
 
 
-def _construct_error(
-    text: str, toks: list[str], i: int, base: int, names: set[str]
-) -> ParseError:
-    """The first error in the leaf or the eta/rho head at ``toks[i]``, in reading order."""
-    head = toks[i]
-    if head.isdigit():
-        steps, j = ("label", "(", "name", ")"), i
-    else:
-        sep = _HEADERS[head][1]
-        steps, j = ("(", "label", sep, "label", "distinct", ","), i + 1
-    labels = []
-    for step in steps:
-        tok = toks[j]
-        if step == "label":
-            if not tok.isdigit():
-                return _error(
-                    text, f"expected a label, found {tok or 'end of input'!r}", base + j
-                )
-            labels.append(int(tok))
-            if not labels[-1]:
-                return _error(text, "labels start at 1", base + j)
-        elif step == "name":
-            if tok in _MARKS:
-                return _error(
-                    text, f"expected a vertex name, found {tok or 'end of input'!r}", base + j
-                )
-            if tok in names:
-                return _error(text, f"duplicate vertex name {tok!r}", base + j)
-        elif step == "distinct":
-            if labels[0] == labels[1]:
-                return _error(
-                    text, f"{head} needs two distinct labels, got {labels[0]} twice", base + i
-                )
-            continue  # reads no token
-        elif tok != step:
-            return _expected(text, step, tok, base + j)
-        j += 1
-    raise AssertionError(f"no error in the construct at token {base + i}")
-
-
 def parse(text: str) -> KExpr:
     """Parse concrete syntax into an expression tree.
 
     Raises :class:`ParseError` with line/column on bad syntax, duplicate
-    vertex names, zero labels, or equal labels in an edge-insertion or
-    rename.  An unexpected character anywhere in the text is reported
-    before any other error.
+    vertex names, zero labels, labels longer than the interpreter's
+    integer digit limit, or equal labels in an edge-insertion or rename.
+    An unexpected character anywhere in the text is reported first;
+    otherwise the first error in reading order, as each construct is
+    checked once, token by token (equal labels at the eta or rho).
 
     One regex search finds the first unexpected character.  The tokens
     are then listed as plain strings, one window of text at a time, and
@@ -235,14 +199,10 @@ def parse(text: str) -> KExpr:
     """
     bad = _BAD_RE.search(text)
     if bad is not None:
-        # a label too long for int() raises its ValueError first if the
-        # parser reaches it before the character; anything else is outranked
-        try:
-            parse(text[: bad.start()])
-        except ParseError:
-            pass
         raise _parse_error(text, f"unexpected character {bad.group()!r}", bad.start())
 
+    # int() refuses longer labels; a limit of 0 means none
+    digits = sys.get_int_max_str_digits() or len(text)
     windows = _windows(text)
     toks: list[str] = []
     i = base = 0  # toks[i] is the next token, the (base + i)-th of the text
@@ -261,50 +221,67 @@ def parse(text: str) -> KExpr:
 
         head = toks[i]
         header = _HEADERS.get(head)
+        if header is None and head != "U":  # a leaf, headed by its label
+            if not head.isdigit():
+                message = (
+                    f"expected an expression, found {head or 'end of input'!r}"
+                    if head in _MARKS
+                    else f"expected 'U', 'eta', 'rho', or a label, found {head!r}"
+                )
+                raise _error(text, message, base + i)
+            if len(head) > digits:
+                raise _error(text, f"label has more than {digits} digits", base + i)
+            label = int(head)
+            if not label:
+                raise _error(text, "labels start at 1", base + i)
+        if toks[i + 1] != "(":
+            raise _expected(text, "(", toks[i + 1], base + i + 1)
         if header is not None:
             cls, sep = header
+            # checked inline: a call per label costs the parse about 5%
             ta = toks[i + 2]
+            if not ta.isdigit():
+                message = f"expected a label, found {ta or 'end of input'!r}"
+                raise _error(text, message, base + i + 2)
+            if len(ta) > digits:
+                raise _error(text, f"label has more than {digits} digits", base + i + 2)
+            a = int(ta)
+            if not a:
+                raise _error(text, "labels start at 1", base + i + 2)
+            if toks[i + 3] != sep:
+                raise _expected(text, sep, toks[i + 3], base + i + 3)
             tb = toks[i + 4]
-            if (
-                toks[i + 1] == "("
-                and toks[i + 3] == sep
-                and toks[i + 5] == ","
-                and ta.isdigit()
-                and tb.isdigit()
-                and (a := int(ta))
-                and (b := int(tb))
-                and a != b
-            ):
-                frames += (a, b, cls)
-                i += 6
-                continue
-            raise _construct_error(text, toks, i, base, names)
+            if not tb.isdigit():
+                message = f"expected a label, found {tb or 'end of input'!r}"
+                raise _error(text, message, base + i + 4)
+            if len(tb) > digits:
+                raise _error(text, f"label has more than {digits} digits", base + i + 4)
+            b = int(tb)
+            if not b:
+                raise _error(text, "labels start at 1", base + i + 4)
+            if a == b:
+                message = f"{head} needs two distinct labels, got {a} twice"
+                raise _error(text, message, base + i)
+            if toks[i + 5] != ",":
+                raise _expected(text, ",", toks[i + 5], base + i + 5)
+            frames += (a, b, cls)
+            i += 6
+            continue
         if head == "U":
-            if toks[i + 1] != "(":
-                raise _expected(text, "(", toks[i + 1], base + i + 1)
             frames.append(None)
             i += 2
             continue
-        if not head.isdigit():
-            message = (
-                f"expected an expression, found {head or 'end of input'!r}"
-                if head in _MARKS
-                else f"expected 'U', 'eta', 'rho', or a label, found {head!r}"
-            )
-            raise _error(text, message, base + i)
         name = toks[i + 2]
-        if (
-            (label := int(head))
-            and toks[i + 1] == "("
-            and name not in _MARKS
-            and name not in names
-            and toks[i + 3] == ")"
-        ):
-            names.add(name)
-            value: KExpr = Leaf(label, name)
-            i += 4
-        else:
-            raise _construct_error(text, toks, i, base, names)
+        if name in _MARKS:
+            message = f"expected a vertex name, found {name or 'end of input'!r}"
+            raise _error(text, message, base + i + 2)
+        if name in names:
+            raise _error(text, f"duplicate vertex name {name!r}", base + i + 2)
+        if toks[i + 3] != ")":
+            raise _expected(text, ")", toks[i + 3], base + i + 3)
+        names.add(name)
+        value: KExpr = Leaf(label, name)
+        i += 4
 
         # Attach the completed subexpression upward.  A window ends with
         # a ',' or _END, so these reads stay inside the list.

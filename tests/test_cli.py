@@ -110,6 +110,26 @@ class TestDocuments:
                 {"n": 2, "edges": [], "thresholds": [1], "lambda": 0, "targets": []}
             )
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+    @pytest.mark.parametrize(
+        "where", ["n", "lambda", "budget", "alpha", "edge", "threshold", "target"]
+    )
+    def test_non_integers_rejected(self, capsys, tmp_path, where, bad):
+        doc = json.loads(json.dumps(P3_DOC))
+        if where == "edge":
+            doc["edges"][1][0] = bad
+        elif where == "threshold":
+            doc["thresholds"][1] = bad
+        elif where == "target":
+            doc["targets"][1] = bad
+        else:
+            doc[where] = bad
+        with pytest.raises(InstanceError):
+            document_to_instance(doc)
+        path = write(tmp_path, doc)
+        assert main(["solve", "--method", "brute", "--instance", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

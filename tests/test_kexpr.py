@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from latss.cli import main
 from latss.cliquewidth import CliqueWidthSolver
 from latss.graphs import Graph, path_graph, random_tree
 from latss.kexpr import (
@@ -100,6 +101,13 @@ class TestParse:
             ("U(1(a),\n 2(b),\n  3(c) % x)", "unexpected character '%'", 3, 8),
             ("U(1(a),\n U(2(b),\n  rho(2->2, 3(c))))", "distinct", 3, 3),
             ("eta(2,1,\n U(2(v),\n   1(u))\n", "found 'end of input'", 4, 1),
+            # within one construct, the first error in reading order wins
+            ("eta(0,0, 1(u))", "labels start at 1", 1, 5),
+            ("eta(1,1 1(u))", "eta needs two distinct labels, got 1 twice", 1, 1),
+            ("rho(2,1, 1(u))", "expected '->', found ','", 1, 6),
+            ("1((u)", "expected a vertex name, found '\\('", 1, 3),
+            ("0(u", "labels start at 1", 1, 1),
+            ("U(1(u),\n 2(u))", "duplicate vertex name 'u'", 2, 4),
         ],
     )
     def test_error_positions(self, text, message, line, col):
@@ -138,15 +146,29 @@ class TestParse:
         assert (err.value.line, err.value.col) == (2, 9 + shift)
 
     @pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="no digit limit")
-    def test_over_long_label_is_read_before_a_later_bad_character(self):
-        # int() refuses the label when the parser reaches it, ahead of the
-        # '%'; a syntax error before the label leaves the '%' to be reported
-        digits = "7" * (sys.get_int_max_str_digits() + 1)
-        with pytest.raises(ValueError) as err:
-            parse(f"eta({digits},1, 1(u)) %")
-        assert not isinstance(err.value, ParseError)
+    def test_over_long_label_is_a_parse_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        digits = "7" * (limit + 1)
+        message = f"label has more than {limit} digits"
+        for text, line, col in [
+            (f"U(1(u),\n {digits}(v))", 2, 2),
+            (f"eta({digits},1, 1(u))", 1, 5),
+            (f"U(1(u),\n rho(1->{digits}, 1(v)))", 2, 9),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == f"{message} (line {line}, column {col})"
+        assert parse(f"eta({digits[1:]},1, 1(u))").a == int(digits[1:])
         with pytest.raises(ParseError, match="unexpected character '%'"):
-            parse(f"U(1(u) %, eta({digits},1, 1(v)))")
+            parse(f"eta({digits},1, 1(u)) %")
+        assert main(["kexpr", "parse", "--expr", f"U(1(u),\n {digits}(v))"]) == 2
+        assert capsys.readouterr().err == f"error: {message} (line 2, column 2)\n"
+        # a limit of 0 means none
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse(f"eta({digits},1, 1(u))").a == int(digits)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @staticmethod
     def _position(text, offset):
