@@ -20,6 +20,15 @@ before it is expanded.  Because the targets never change, one memo
 serves every budget and requirement asked of a solver, and the
 expression keeps its width k.
 
+Inside the solver, memo keys and the queries passed between nodes are
+stored by label class, the transposes of those matrices: per class, its
+activation count per round and its threshold reduction per round.  A
+union splits each class's counts, a rename merges two classes, and an
+edge insertion adds a running count of one class to the other's
+reductions.  The public matrices stay row-major; ``query``,
+``reconstruct``, ``queries``, ``witnessed_entries`` and the root scan
+convert.
+
 Satisfiability is evaluated top-down over the four node kinds with
 per-node memoization and an explicit stack, so deep expressions do not
 reach the interpreter's recursion limit; only pairs reachable from the
@@ -44,7 +53,7 @@ run concurrently on shared inputs.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import normalize_thresholds, simulate
@@ -63,10 +72,6 @@ from .kexpr import (
 
 CountMatrix = tuple[tuple[int, ...], ...]
 ReductionMatrix = tuple[tuple[int, ...], ...]
-
-
-def zero_reductions(latency: int, k: int) -> ReductionMatrix:
-    return tuple((0,) * k for _ in range(latency))
 
 
 def verify_schedule(
@@ -149,23 +154,31 @@ def _rename(row: tuple[int, ...], la: int, lb: int) -> tuple[int, ...]:
 def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
     """Rows with lo <= row <= hi summing to at most cap, by sum, then lexicographic.
 
-    Each entry ranges only over values the entries after it can
-    complete, so rows come lazily, at O(k) each.
+    Each row steps to the next of its sum: the rightmost entry that can
+    grow while the entries after it can still shrink grows by one, and
+    those entries are refilled with the least values that complete the
+    sum.  Rows come lazily, at O(k) each, with no recursion.
     """
     k = len(lo)
-    after = [(sum(lo[i + 1 :]), sum(hi[i + 1 :])) for i in range(k)]
-
-    def rows(i, total):
-        if i == k:
-            yield ()
-            return
-        least = max(lo[i], total - after[i][1])
-        for x in range(least, min(hi[i], total - after[i][0]) + 1):
-            for tail in rows(i + 1, total - x):
-                yield (x, *tail)
-
-    for total in range(sum(lo), min(cap, sum(hi)) + 1):
-        yield from rows(0, total)
+    # least and greatest sums of the entries from index i on
+    lo_from = [*accumulate(reversed(lo), initial=0)][::-1]
+    hi_from = [*accumulate(reversed(hi), initial=0)][::-1]
+    row = list(lo)
+    for total in range(lo_from[0], min(cap, hi_from[0]) + 1):
+        i, rest = -1, total
+        while True:
+            for j in range(i + 1, k):
+                row[j] = max(lo[j], rest - hi_from[j + 1])
+                rest -= row[j]
+            yield tuple(row)
+            for i in range(k - 1, -1, -1):
+                if row[i] < hi[i] and rest > lo_from[i + 1]:
+                    break
+                rest += row[i]
+            else:
+                break
+            row[i] += 1
+            rest -= 1
 
 
 class CliqueWidthSolver:
@@ -204,7 +217,7 @@ class CliqueWidthSolver:
         self._name_to_vid = {
             name: v for v, name in enumerate(self.labeled.names)
         }
-        self._zero = zero_reductions(latency, self.k)
+        self._zero = ((0,) * latency,) * self.k
         self._build_nodes(post)
         self._memo: list[dict] = [{} for _ in self._kind]
         # column splits by (column, lo, hi), shared by union and rho nodes
@@ -274,21 +287,22 @@ class CliqueWidthSolver:
 
     def queries(self, node: int) -> list[tuple[CountMatrix, ReductionMatrix]]:
         """All (counts, reductions) pairs evaluated so far at a node."""
-        return list(self._memo[node].keys())
+        memo = self._memo[node]
+        return [(tuple(zip(*cols)), tuple(zip(*reds))) for cols, reds in memo]
 
     def witnessed_entries(
         self,
     ) -> Iterator[tuple[int, CountMatrix, ReductionMatrix]]:
         """Every satisfiable memo entry, across all nodes."""
         for idx, memo in enumerate(self._memo):
-            for (counts, reds), value in list(memo.items()):
+            for (cols, reds), value in list(memo.items()):
                 if value:
-                    yield idx, counts, reds
+                    yield idx, tuple(zip(*cols)), tuple(zip(*reds))
 
     # -- query evaluation -------------------------------------------------
 
-    def _gamma(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
-        """Witness of a query at a node, or False.
+    def _gamma(self, node: int, counts, reds):
+        """Witness of a per-class query at a node, or False.
 
         Union, eta and rho nodes are expanded by :meth:`_expand`, a
         generator that yields the child queries of each alternative in
@@ -315,10 +329,10 @@ class CliqueWidthSolver:
                 )
         return value
 
-    def _settle(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
+    def _settle(self, node: int, counts, reds):
         """The value of a query when known without its children, else None.
 
-        That is a memo hit, a column sum outside the node's bounds (at
+        That is a memo hit, a class total outside the node's bounds (at
         least its targets, at most its class size), or a leaf.
         """
         table = self._memo[node]
@@ -326,12 +340,10 @@ class CliqueWidthSolver:
         value = table.get(key)
         if value is not None:
             return value
-        for total, lo, hi in zip(
-            map(sum, zip(*counts)),
-            self._target_counts[node],
-            self._label_counts[node],
+        for col, lo, hi in zip(
+            counts, self._target_counts[node], self._label_counts[node]
         ):
-            if not lo <= total <= hi:
+            if not lo <= sum(col) <= hi:
                 table[key] = False
                 return False
         if self._kind[node] == "leaf":
@@ -340,25 +352,17 @@ class CliqueWidthSolver:
         return None
 
     def _gamma_leaf(self, node, counts, reds):
-        # a target leaf never gets here with total 0: its column's lower
-        # bound in _settle is 1
+        # seeded, else active at the first round whose reduction reaches the
+        # threshold, else never; _settle keeps the column sum in 0..1
         vid, l0 = self._info[node]
-        t = self.thresholds[vid]
-        total = sum(row[l0] for row in counts)
-        if total == 0:
-            # the vertex must stay inactive: no round may cancel its threshold
-            if all(reds[i][l0] < t for i in range(self.latency)):
-                return ("leaf", None)
-            return False
-        istar = next(i for i, row in enumerate(counts) if row[l0] == 1)
-        if istar == 0:
-            return ("leaf", 0)
-        fires = next(
-            (i + 1 for i in range(self.latency) if reds[i][l0] >= t), None
+        col, t = counts[l0], self.thresholds[vid]
+        fires = 0 if col[0] else next(
+            (i for i, r in enumerate(reds[l0], 1) if r >= t), None
         )
-        return ("leaf", istar) if fires == istar else False
+        met = not any(col) if fires is None else col[fires]
+        return ("leaf", fires) if met else False
 
-    def _expand(self, node: int, counts: CountMatrix, reds: ReductionMatrix):
+    def _expand(self, node: int, counts, reds):
         """Frame of an inner node: yields child queries, returns the witness."""
         kind = self._kind[node]
         if kind == "union":
@@ -373,25 +377,21 @@ class CliqueWidthSolver:
             return ("eta", reds1) if (yield child, counts, reds1) else False
         # rho: class la is empty after the rename, so _settle's bounds
         # check has already made column la zero
-        reds1 = tuple(row[:la] + (row[lb],) + row[la + 1 :] for row in reds)
+        reds1 = (*reds[:la], reds[lb], *reds[la + 1 :])
         for counts1 in self._rho_splits(counts, child, la, lb):
             if (yield child, counts1, reds1):
                 return ("rho", counts1, reds1)
         return False
 
     def _eta_reductions(self, counts, reds, la, lb):
+        # at round i, every vertex of the opposite class active by round
+        # i - 1 is a new neighbour: a prefix sum of its column
         rcap = self.rcap
-        out = []
-        seen_a = 0
-        seen_b = 0
-        for i in range(1, self.latency + 1):
-            seen_a += counts[i - 1][la]
-            seen_b += counts[i - 1][lb]
-            row = list(reds[i - 1])
-            # every already-active vertex of the opposite class is a new neighbour
-            row[la] = min(rcap, row[la] + seen_b)
-            row[lb] = min(rcap, row[lb] + seen_a)
-            out.append(tuple(row))
+        out = list(reds)
+        for x, y in ((la, lb), (lb, la)):
+            out[x] = tuple(
+                min(rcap, r + seen) for r, seen in zip(reds[x], accumulate(counts[y]))
+            )
         return tuple(out)
 
     def _column_splits(self, col, lo, hi):
@@ -408,12 +408,9 @@ class CliqueWidthSolver:
 
     def _union_splits(self, counts, left, right):
         per_col = []
+        caps, needs = self._label_counts, self._target_counts
         for col, cap_l, cap_r, need_l, need_r in zip(
-            zip(*counts),
-            self._label_counts[left],
-            self._label_counts[right],
-            self._target_counts[left],
-            self._target_counts[right],
+            counts, caps[left], caps[right], needs[left], needs[right]
         ):
             total = sum(col)
             options = self._column_splits(
@@ -423,24 +420,18 @@ class CliqueWidthSolver:
                 return
             per_col.append(options)
         for combo in product(*per_col):
-            yield (
-                tuple(zip(*(part for part, _ in combo))),
-                tuple(zip(*(rest for _, rest in combo))),
-            )
+            yield tuple(part for part, _ in combo), tuple(rest for _, rest in combo)
 
     def _rho_splits(self, counts, child, la, lb):
-        cap_a = self._label_counts[child][la]
-        cap_b = self._label_counts[child][lb]
-        need_a = self._target_counts[child][la]
-        need_b = self._target_counts[child][lb]
-        cols = list(zip(*counts))
+        caps, needs = self._label_counts[child], self._target_counts[child]
+        cols = list(counts)
         total = sum(cols[lb])
         for part, rest in self._column_splits(
-            cols[lb], max(need_a, total - cap_b), min(cap_a, total - need_b)
+            cols[lb], max(needs[la], total - caps[lb]), min(caps[la], total - needs[lb])
         ):
             cols[la] = part
             cols[lb] = rest
-            yield tuple(zip(*cols))
+            yield tuple(cols)
 
     # -- root-side scanning -------------------------------------------------
 
@@ -495,19 +486,23 @@ class CliqueWidthSolver:
             total += active
             rest = options(i + 1, left, need)
 
-    def _scan(self, budget: int, requirement: int) -> CountMatrix | None:
-        """The satisfiable root count matrix with the fewest seeds, or None."""
-        root = self.root_index
-        zero = self._zero
-        for counts in self._root_counts(budget, requirement):
+    def _scan(self, budget: int, requirement: int):
+        """The satisfiable root counts with the fewest seeds, by class, or None."""
+        root, zero = self.root_index, self._zero
+        for matrix in self._root_counts(budget, requirement):
+            counts = tuple(zip(*matrix))
             if self._gamma(root, counts, zero):
                 return counts
         return None
 
+    def _by_class(self, counts: CountMatrix, reductions: ReductionMatrix):
+        # a latency of 0 has no reduction rows, yet k empty classes
+        return tuple(zip(*counts)), tuple(zip(*reductions)) or ((),) * self.k
+
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
         self._check_dims(counts, reductions)
-        return bool(self._gamma(self.root_index, counts, reductions))
+        return bool(self._gamma(self.root_index, *self._by_class(counts, reductions)))
 
     def _check_dims(self, counts, reductions) -> None:
         if len(counts) != self.latency + 1 or len(reductions) != self.latency:
@@ -531,7 +526,7 @@ class CliqueWidthSolver:
         counts = self._scan(budget, requirement)
         if counts is None:
             return None
-        seeds = self.reconstruct(counts, self._zero)[0]
+        seeds = self._process(self.root_index, counts, self._zero)[0]
         final = simulate(
             self.labeled.graph, self.thresholds, seeds, self.latency
         ).final
@@ -552,10 +547,14 @@ class CliqueWidthSolver:
         """
         if node is None:
             node = self.root_index
-        if not self._gamma(node, counts, reductions):
+        query = self._by_class(counts, reductions)
+        if not self._gamma(node, *query):
             raise ValueError("query is not satisfiable; nothing to reconstruct")
+        return self._process(node, *query)
+
+    def _process(self, node: int, counts, reductions) -> list[frozenset[int]]:
         # every query a witness names was evaluated satisfiable, so the
-        # walk below only reads memo entries
+        # walk only reads memo entries
         fresh: list[list[int]] = [[] for _ in range(self.latency + 1)]
         stack = [(node, counts, reductions)]
         while stack:

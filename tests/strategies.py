@@ -50,8 +50,14 @@ def trees(draw, min_n: int = 1, max_n: int = 10):
     return random_tree(n, random.Random(seed))
 
 
-def expressions(max_labels: int = 3, max_leaves: int = 10):
-    """Random well-formed expression trees with unique leaf names."""
+def expressions(
+    max_labels: int = 3, max_leaves: int = 10, min_leaves: int | None = None
+):
+    """Random well-formed expression trees with unique leaf names.
+
+    ``min_leaves`` and ``max_leaves`` bound the draws of ``st.recursive``,
+    which counts a rename or an edge insertion as a draw too.
+    """
     labels = st.integers(1, max_labels)
     leaf = st.builds(Leaf, labels, st.just("x"))
 
@@ -66,9 +72,9 @@ def expressions(max_labels: int = 3, max_leaves: int = 10):
             ),
         )
 
-    return st.recursive(leaf, extend, max_leaves=max_leaves).map(
-        canonicalize_names
-    )
+    return st.recursive(
+        leaf, extend, min_leaves=min_leaves, max_leaves=max_leaves
+    ).map(canonicalize_names)
 
 
 def random_expression(rng: random.Random, max_vertices: int = 6, k: int = 3):

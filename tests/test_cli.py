@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latss import cliquewidth
 from latss.cli import _edge_list, document_to_instance, load_instance, main
@@ -14,6 +15,7 @@ from latss.cli import InstanceError
 from latss.graphs import random_tree
 from latss.kexpr import (
     KExprError,
+    check_irredundant,
     cograph_expression,
     evaluate,
     parse,
@@ -278,6 +280,15 @@ class TestSolveCommand:
         assert out["feasible"] and out["target_set"] == []
         assert out["round_sizes"] == [0, 0]
 
+    def test_wide_label_solves(self, capsys, tmp_path):
+        # one vertex whose label is beyond the interpreter's recursion limit:
+        # the root scan steps through seed rows without recursing per label
+        doc = {"n": 1, "edges": [], "thresholds": [1], "lambda": 1,
+               "targets": [0], "kexpr": "1500(a)"}
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0 and out["target_set"] == [0]
+
     def test_internal_error_exits_three(self, capsys, tmp_path, monkeypatch):
         def broken(self, *args, **kwargs):
             raise RuntimeError("injected")
@@ -308,6 +319,51 @@ class TestSolveCommand:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["command"] == "solve" and doc["solver"] == "tree"
+
+
+class TestSolveFuzz:
+    """``solve`` on drawn expression instances: one JSON line, exit 0 or 1,
+    and the clique-width DP agrees with brute force."""
+
+    # at least three draws: the strategy's own mix is mostly one or two vertices
+    @settings(max_examples=200, deadline=None)
+    @given(
+        expressions(max_labels=3, min_leaves=3, max_leaves=6).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.data(),
+    )
+    def test_cwd_agrees_with_brute_force(self, tmp_path_factory, expr, data):
+        graph = evaluate(expr).graph
+        n = graph.n
+        doc = {
+            "n": n,
+            "edges": _edge_list(graph),
+            "thresholds": [
+                data.draw(st.integers(0, graph.degree(v) + 2)) for v in range(n)
+            ],
+            "lambda": data.draw(st.integers(0, 3)),
+            "kexpr": unparse(expr),
+        }
+        variant = data.draw(st.sampled_from(["lba", "lbA", "lA"]))
+        if variant != "lA":
+            doc["budget"] = data.draw(st.integers(0, n))
+        if variant == "lba":
+            doc["alpha"] = data.draw(st.integers(0, n))
+        else:
+            doc["targets"] = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        results = []
+        for method in ("cwd", "brute"):
+            code, out = run_quietly(
+                ["solve", "--method", method, "--instance", str(path)]
+            )
+            assert code in (0, 1) and out.count("\n") == 1 and out.endswith("\n")
+            result = json.loads(out)
+            assert result["feasible"] == (code == 0)
+            results.append((result["feasible"], result["size"]))
+        assert results[0] == results[1]
 
 
 class TestKexprCommand:

@@ -1,18 +1,18 @@
 """Clique-width solver: query semantics, witnesses, and oracle agreement."""
 
 import random
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
 from latss.cliquewidth import (
     CliqueWidthSolver,
+    _rows_by_sum,
     decide,
     decide_targets,
     select,
     select_targets,
     verify_schedule,
-    zero_reductions,
 )
 from latss.graphs import Instance, path_graph, random_tree, verify_solution
 from latss.kexpr import (
@@ -236,7 +236,7 @@ class TestDecideSelect:
         for budget in range(4):
             for req in range(4):
                 solver.decide(budget, req)
-        zero = zero_reductions(1, solver.k)
+        zero = ((0,) * solver.k,)
         for _, reds in solver.queries(solver.root_index):
             assert reds == zero
 
@@ -255,6 +255,18 @@ class TestDecideSelect:
             scanned = [counts for counts, _ in solver.queries(solver.root_index)]
             assert all(sum(counts[0]) <= budget for counts in scanned)
             assert scanned == sorted(scanned, key=lambda c: (sum(c[0]), c))
+
+    def test_seed_rows_come_by_sum_then_lexicographic(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            lo = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+            hi = [x + rng.randint(0, 3) for x in lo]
+            cap = rng.randint(0, sum(hi) + 1)
+            boxed = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            want = sorted(
+                (row for row in boxed if sum(row) <= cap), key=lambda r: (sum(r), r)
+            )
+            assert list(_rows_by_sum(lo, hi, cap)) == want
 
     def test_agrees_with_brute_force(self):
         # trees, then width-4 expressions: there a satisfiable root matrix
@@ -438,6 +450,26 @@ class TestWitnesses:
                 ]
                 assert verify_schedule(local, local_thr, counts, reds, mapped)
                 assert {v for v in targets if v in to_local} <= process[-1]
+
+    @pytest.mark.parametrize("latency", [2, 1, 0])
+    def test_public_matrices_stay_row_major(self, latency):
+        # the solver stores queries by label class; what goes in by round
+        # comes out by round, at every latency including one without
+        # reduction rows
+        expr = path_expression(4)
+        counts = ((1, 0, 0), (1, 1, 0), (0, 0, 1))[: latency + 1]
+        reds = ((2, 0, 1), (0, 1, 0))[:latency]
+        solver = CliqueWidthSolver(expr, (1, 2, 2, 1), latency)
+        assert solver.k == 3
+        solver.query(counts, reds)
+        assert solver.queries(solver.root_index) == [(counts, reds)]
+        for budget in range(5):
+            solver.decide(budget, 4)
+        witnessed = list(solver.witnessed_entries())
+        assert any(node == solver.root_index for node, _, _ in witnessed)
+        for node, counts, reds in witnessed:
+            assert len(counts) == latency + 1 and len(reds) == latency
+            assert len(solver.reconstruct(counts, reds, node)) == latency + 1
 
     def test_reconstruct_rejects_unsatisfiable(self):
         solver = solver_for("1(u)", (1,), 1)
