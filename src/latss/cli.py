@@ -84,7 +84,8 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     thresholds = need("thresholds", list)
     if len(thresholds) != n or not all(type(t) is int and t >= 0 for t in thresholds):
         raise InstanceError("thresholds must be n non-negative integers")
-    latency = need("lambda", int)
+    # each round before a stall activates a vertex: rounds past n add nothing
+    latency = min(need("lambda", int), n)
 
     optional: dict[str, Any] = {}
     if "budget" in doc:

@@ -355,17 +355,17 @@ class Instance:
 
 
 def verify_solution(instance: Instance, selection: Iterable[int]) -> bool:
-    """Check a seed set against the instance's own variant conditions."""
+    """Check a seed set against the instance's own variant conditions.
+
+    The budget holds if there is one, and within the latency bound the
+    cascade reaches the requirement (or 0) and every target (or none).
+    """
     chosen = frozenset(selection)
     final = simulate(
         instance.graph, instance.thresholds, chosen, instance.latency
     ).final
-    variant = instance.variant
-    if variant == "lba":
-        assert instance.budget is not None and instance.requirement is not None
-        return len(chosen) <= instance.budget and len(final) >= instance.requirement
-    if variant == "lbA":
-        assert instance.budget is not None and instance.targets is not None
-        return len(chosen) <= instance.budget and instance.targets <= final
-    assert instance.targets is not None
-    return instance.targets <= final
+    return (
+        (instance.budget is None or len(chosen) <= instance.budget)
+        and len(final) >= (instance.requirement or 0)
+        and (instance.targets or frozenset()) <= final
+    )

@@ -8,6 +8,15 @@ early enough to help (``act_count``).  A vertex that must be activated
 is either self-sufficient, seeded, or delegated to its parent, which is
 then added to the set of vertices that must be activated.
 
+One rule serves every vertex v with threshold t.  ``max_path`` is 1 plus
+the largest child ``path`` and ``act_count`` counts the children active
+before round ``latency - max_path``; both are 0 without children.  A
+required v is seeded when ``max_path == latency``, when
+``act_count <= t - 2``, or when ``act_count == t - 1`` at a root;
+otherwise, at ``act_count == t - 1``, it is delegated to its parent.
+Latency 0 needs no case of its own (``max_path == latency`` seeds every
+target), nor do childless vertices (t = 1 delegates, a larger t seeds).
+
 Values above the latency bound all behave as "never", so times are
 capped at ``latency + 1``; with that sentinel all arithmetic stays on
 small ints.  Each vertex costs O(#children) thanks to a linear-time
@@ -82,11 +91,6 @@ class TreeSolveResult:
     roots: tuple[int, ...]  # one root per component
     latency: int
 
-    @property
-    def sentinel(self) -> int:
-        """Times at or above this value mean "never activates"."""
-        return self.latency + 1
-
 
 def solve_detailed(
     tree: Graph,
@@ -116,23 +120,6 @@ def solve_detailed(
     path = [-1] * n
     max_path = [0] * n
     act_count = [0] * n
-
-    if latency == 0:
-        # only seeded vertices are active at round 0
-        seeds = frozenset(target_set)
-        for v in seeds:
-            time[v] = 0
-        return TreeSolveResult(
-            seeds,
-            tuple(time),
-            tuple(path),
-            tuple(max_path),
-            tuple(act_count),
-            frozenset(target_set),
-            tuple(roots),
-            latency,
-        )
-
     seeds: set[int] = set()
     required = set(target_set)
 
@@ -140,39 +127,23 @@ def solve_detailed(
         up = parent[v]
         kids = [w for w in tree.adjacency[v] if w != up]
         t = thr[v]
-        if not kids:  # a leaf, or an isolated vertex
-            if t == 0:
-                time[v] = 1  # self-activates, no help needed
-            elif v in required:
-                if t == 1 and up is not None:
-                    required.add(up)
-                    path[v] = 0
-                else:  # t == degree + 1: only seeding can activate it
-                    seeds.add(v)
-                    time[v] = 0
-            continue
-
-        mp = 1 + max(path[u] for u in kids)
-        act = sum(1 for u in kids if time[u] < latency - mp)
-        max_path[v] = mp
-        act_count[v] = act
+        mp = act = 0
+        if kids:
+            mp = 1 + max(path[u] for u in kids)
+            act = sum(1 for u in kids if time[u] < latency - mp)
+            max_path[v] = mp
+            act_count[v] = act
         if t == 0:
             time[v] = 1
         elif t <= len(kids):
             time[v] = min(
                 inf, 1 + select_tth_smallest([time[u] for u in kids], t)
             )
-        else:
-            time[v] = inf  # fewer child times than needed
 
         if v not in required:
             continue
-        # a root seeds iff act <= t - 1: with mp == latency, act is 0
-        if t == 0:
-            if mp == latency:
-                seeds.add(v)
-                time[v] = 0
-        elif act <= t - 2 or mp == latency or (act == t - 1 and up is None):
+        # act >= 0, so both act tests below imply t >= 1
+        if mp == latency or act <= t - 2 or (act == t - 1 and up is None):
             seeds.add(v)
             time[v] = 0
         elif act == t - 1:  # parent must finish the job

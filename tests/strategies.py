@@ -50,6 +50,14 @@ def trees(draw, min_n: int = 1, max_n: int = 10):
     return random_tree(n, random.Random(seed))
 
 
+@st.composite
+def forests(draw, min_n: int = 1, max_n: int = 8):
+    """Vertex i > 0 hangs off an earlier vertex or starts a new component."""
+    n = draw(st.integers(min_n, max_n))
+    ups = [draw(st.none() | st.integers(0, i - 1)) for i in range(1, n)]
+    return Graph(n, [(up, i) for i, up in enumerate(ups, 1) if up is not None])
+
+
 def expressions(
     max_labels: int = 3, max_leaves: int = 10, min_leaves: int | None = None
 ):

@@ -24,7 +24,7 @@ from latss.kexpr import (
     unparse,
 )
 
-from strategies import expressions, graphs
+from strategies import expressions, forests, graphs
 
 
 def run(capsys, argv):
@@ -131,6 +131,21 @@ class TestDocuments:
         path = write(tmp_path, doc)
         assert main(["solve", "--method", "brute", "--instance", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "tree"],
+            ["solve", "--method", "brute"],
+            ["solve", "--method", "cwd"],
+            ["simulate", "--seed", "0"],
+        ],
+    )
+    def test_lambda_above_n_reads_as_n(self, capsys, tmp_path, argv):
+        doc = {**P3_DOC, "thresholds": [1, 1, 1], "lambda": 10**30}
+        assert document_to_instance(doc)[0].latency == 3
+        code, out = run(capsys, argv + ["--instance", write(tmp_path, doc)])
+        assert code == 0 and out["round_sizes"] == [1, 2, 3, 3]
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -364,6 +379,42 @@ class TestSolveFuzz:
             assert result["feasible"] == (code == 0)
             results.append((result["feasible"], result["size"]))
         assert results[0] == results[1]
+
+
+class TestForestFuzz:
+    """``solve --method tree`` and ``simulate`` on drawn forest documents:
+    exit 0, one JSON line, one round size per round up to min(lambda, n),
+    and the tree solver's size equals brute force's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(forests(max_n=8), st.data())
+    def test_tree_and_simulate(self, tmp_path_factory, forest, data):
+        n = forest.n
+        lam = data.draw(st.integers(0, n + 2) | st.just(10**30))
+        doc = {
+            "n": n,
+            "edges": _edge_list(forest),
+            "thresholds": [
+                data.draw(st.integers(0, forest.degree(v) + 2)) for v in range(n)
+            ],
+            "lambda": lam,
+            "targets": sorted(data.draw(st.sets(st.integers(0, n - 1)))),
+        }
+        seed = ",".join(map(str, sorted(data.draw(st.sets(st.integers(0, n - 1))))))
+        path = tmp_path_factory.getbasetemp() / "forest.json"
+        path.write_text(json.dumps(doc))
+        sizes = []
+        for argv in (
+            ["solve", "--method", "tree"],
+            ["solve", "--method", "brute"],
+            ["simulate", "--seed", seed],
+        ):
+            code, out = run_quietly(argv + ["--instance", str(path)])
+            assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+            result = json.loads(out)
+            assert len(result["round_sizes"]) == min(lam, n) + 1
+            sizes.append(result.get("size"))
+        assert sizes[0] == sizes[1]
 
 
 class TestKexprCommand:

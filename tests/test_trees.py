@@ -130,16 +130,20 @@ class TestOptimality:
             assert len(chosen) == len(best)
 
     def test_extended_thresholds_match_brute_force(self):
+        # forests with isolated vertices and latency 0 run through the same
+        # seeding rule as every other vertex
         rng = random.Random(17)
         for _ in range(150):
             n = rng.randint(1, 9)
-            tree = random_tree(n, rng)
-            thr = tuple(rng.randint(0, tree.degree(v) + 1) for v in range(n))
+            forest = Graph(
+                n, [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.7]
+            )
+            thr = tuple(rng.randint(0, forest.degree(v) + 1) for v in range(n))
             targets = frozenset(v for v in range(n) if rng.random() < 0.5)
-            lam = rng.randint(1, n)
-            chosen = solve(tree, thr, lam, targets)
-            best = brute_min_target(tree, thr, lam, targets)
-            assert targets <= simulate(tree, thr, chosen, lam).final
+            lam = rng.randint(0, n + 1)
+            chosen = solve(forest, thr, lam, targets)
+            best = brute_min_target(forest, thr, lam, targets)
+            assert targets <= simulate(forest, thr, chosen, lam).final
             assert len(chosen) == len(best)
 
     def test_no_childless_vertex_is_seeded(self):
