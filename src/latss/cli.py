@@ -250,7 +250,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             instance.thresholds,
             instance.latency,
             instance.targets,
-            root=args.root,
         )
     elif method == "brute":
         if variant == "lba":
@@ -446,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", required=True, choices=["tree", "cwd", "brute"])
     p_solve.add_argument("--variant", choices=["lba", "lbA", "lA"])
     p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--root", type=int, default=0)
     p_solve.add_argument("--output")
 
     p_k = sub.add_parser("kexpr", help="construction-expression tools")

@@ -1,47 +1,44 @@
 """Exact solver for bounded clique-width graphs given as expressions.
 
 The solver walks the expression tree of an irredundant k-expression.
-For a tree node whose labeled subgraph is H, a query is a pair of
-matrices ``(counts, reductions)``:
+For a tree node whose labeled subgraph is H, a query is a pair
+``(counts, reductions)`` with one row per label class:
 
-* ``counts[i][l]`` — how many label-(l+1) vertices must become active at
-  round i (row 0 is the seed round), for i in 0..latency;
-* ``reductions[i-1][l]`` — how much the thresholds of label-(l+1)
+* ``counts[l][i]`` — how many label-(l+1) vertices must become active at
+  round i (entry 0 is the seed round), for i in 0..latency;
+* ``reductions[l][i-1]`` — how much the thresholds of label-(l+1)
   vertices are lowered at round i, for i in 1..latency.
+
+The public methods, the memo keys and the queries passed between nodes
+all take this form: a union splits each class's counts, a rename merges
+two classes, and an edge insertion adds a running count of one class to
+the other's reductions.
 
 A query is satisfiable iff H admits a monotone process S[0] ⊆ ... ⊆
 S[latency] that activates exactly the demanded per-label counts each
 round under the reduced thresholds, and that activates every target
 vertex of H.  The target set is fixed per solver and enters as a leaf
 constraint: a target leaf must activate at some round.  Each node keeps
-the number of targets per label class beside the class sizes, and a
-query whose column sum falls outside those two bounds is rejected
-before it is expanded.  Because the targets never change, one memo
-serves every budget and requirement asked of a solver, and the
-expression keeps its width k.
-
-Inside the solver, memo keys and the queries passed between nodes are
-stored by label class, the transposes of those matrices: per class, its
-activation count per round and its threshold reduction per round.  A
-union splits each class's counts, a rename merges two classes, and an
-edge insertion adds a running count of one class to the other's
-reductions.  The public matrices stay row-major; ``query``,
-``reconstruct``, ``queries``, ``witnessed_entries`` and the root scan
-convert.
+the number of targets per label class beside the class sizes.  Every
+class total lies between those two bounds: ``query`` and ``reconstruct``
+check it on entry, and the union and rename splits and the root scan
+make no other query.  Because the targets never change, one memo serves
+every budget and requirement asked of a solver, and the expression keeps
+its width k.  A satisfiable entry's witness is the child queries that
+proved it; a leaf's is ``(round,)``, the round it fires or None.
 
 Satisfiability is evaluated top-down over the four node kinds with
 per-node memoization and an explicit stack, so deep expressions do not
 reach the interpreter's recursion limit; only pairs reachable from the
-root are ever computed.  The root is queried with the all-zero
-reduction matrix only, where the process coincides with the real
-cascade: row sums translate directly into seed budgets and activation
-totals, and each column is bounded below by the number of targets in
-that root label class.  A real cascade never resumes after a round
-i >= 1 that activates nothing, so the root scan fixes every row after
-such a round to zero.  Row 0 is exempt: threshold-0 vertices fire at
-round 1 without seeds.  The scan takes seed rows in increasing seed
-count, so the first satisfiable matrix within a budget uses the fewest
-seeds of any: one scan at budget n answers the minimisation.
+root are ever computed.  The root is queried with all-zero reductions
+only, where the process coincides with the real cascade: the seed round
+gives the seed budget, and each class total is bounded below by the
+targets in that root label class.  A real cascade never resumes after a
+round i >= 1 that activates nothing, so the root scan fixes every later
+round to zero.  Round 0 is exempt: threshold-0 vertices fire at round 1
+without seeds.  The scan takes seed rounds in increasing seed count, so
+the first satisfiable query within a budget uses the fewest seeds of
+any: one scan at budget n answers the minimisation.
 
 Reduction entries are clamped at the largest threshold: any value at or
 above every threshold behaves identically in the activation rule, so
@@ -86,19 +83,20 @@ def verify_schedule(
     Verifies the three defining conditions directly on the labeled
     graph: per-round per-label activation sets must equal the
     reduced-threshold rule applied to the previous round, and the
-    per-label cardinalities must match ``counts`` exactly.  Dimension
-    mismatches raise; anything else merely fails.
+    per-label cardinalities must match ``counts`` exactly.  The process
+    fixes the latency.  Dimension mismatches raise; anything else merely
+    fails.
     """
-    latency = len(reductions)
-    k = len(counts[0]) if counts else 0
-    if len(counts) != latency + 1:
-        raise ValueError("counts must have latency+1 rows")
-    if any(len(row) != k for row in counts) or any(
-        len(row) != k for row in reductions
+    k = len(counts)
+    latency = len(process) - 1
+    if latency < 0:
+        raise ValueError("process must have at least the seed round")
+    if len(reductions) != k:
+        raise ValueError("counts and reductions need one row per label class")
+    if any(len(row) != latency + 1 for row in counts) or any(
+        len(row) != latency for row in reductions
     ):
-        raise ValueError("ragged matrix rows")
-    if len(process) != latency + 1:
-        raise ValueError("process must have latency+1 rounds")
+        raise ValueError("rows do not match the process length")
     graph = labeled.graph
     if any(not 1 <= lab <= k for lab in labeled.labels):
         raise ValueError(f"graph labels exceed k={k}")
@@ -120,19 +118,19 @@ def verify_schedule(
         classes[lab].add(v)
 
     for lab in range(1, k + 1):
-        if len(rounds[0] & classes[lab]) != counts[0][lab - 1]:
+        if len(rounds[0] & classes[lab]) != counts[lab - 1][0]:
             return False
     for i in range(1, latency + 1):
         delta = rounds[i] - rounds[i - 1]
         for lab in range(1, k + 1):
             cls = classes[lab]
-            if len(delta & cls) != counts[i][lab - 1]:
+            if len(delta & cls) != counts[lab - 1][i]:
                 return False
             reduced = {
                 u
                 for u in cls - rounds[i - 1]
                 if len(set(graph.adjacency[u]) & rounds[i - 1])
-                >= thresholds[u] - reductions[i - 1][lab - 1]
+                >= thresholds[u] - reductions[lab - 1][i - 1]
             }
             if delta & cls != reduced:
                 return False
@@ -220,7 +218,7 @@ class CliqueWidthSolver:
         self._zero = ((0,) * latency,) * self.k
         self._build_nodes(post)
         self._memo: list[dict] = [{} for _ in self._kind]
-        # column splits by (column, lo, hi), shared by union and rho nodes
+        # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
 
     # -- expression-tree tables ------------------------------------------
@@ -287,22 +285,21 @@ class CliqueWidthSolver:
 
     def queries(self, node: int) -> list[tuple[CountMatrix, ReductionMatrix]]:
         """All (counts, reductions) pairs evaluated so far at a node."""
-        memo = self._memo[node]
-        return [(tuple(zip(*cols)), tuple(zip(*reds))) for cols, reds in memo]
+        return list(self._memo[node])
 
     def witnessed_entries(
         self,
     ) -> Iterator[tuple[int, CountMatrix, ReductionMatrix]]:
         """Every satisfiable memo entry, across all nodes."""
         for idx, memo in enumerate(self._memo):
-            for (cols, reds), value in list(memo.items()):
+            for (counts, reds), value in list(memo.items()):
                 if value:
-                    yield idx, tuple(zip(*cols)), tuple(zip(*reds))
+                    yield idx, counts, reds
 
     # -- query evaluation -------------------------------------------------
 
     def _gamma(self, node: int, counts, reds):
-        """Witness of a per-class query at a node, or False.
+        """Witness of a query at a node, or False.
 
         Union, eta and rho nodes are expanded by :meth:`_expand`, a
         generator that yields the child queries of each alternative in
@@ -330,62 +327,53 @@ class CliqueWidthSolver:
         return value
 
     def _settle(self, node: int, counts, reds):
-        """The value of a query when known without its children, else None.
-
-        That is a memo hit, a class total outside the node's bounds (at
-        least its targets, at most its class size), or a leaf.
-        """
+        """A query's value when known without its children: a memo hit or a leaf."""
         table = self._memo[node]
-        key = (counts, reds)
-        value = table.get(key)
-        if value is not None:
-            return value
-        for col, lo, hi in zip(
-            counts, self._target_counts[node], self._label_counts[node]
-        ):
-            if not lo <= sum(col) <= hi:
-                table[key] = False
-                return False
-        if self._kind[node] == "leaf":
-            value = table[key] = self._gamma_leaf(node, counts, reds)
-            return value
-        return None
+        value = table.get((counts, reds))
+        if value is None and self._kind[node] == "leaf":
+            value = table[counts, reds] = self._gamma_leaf(node, counts, reds)
+        return value
 
     def _gamma_leaf(self, node, counts, reds):
         # seeded, else active at the first round whose reduction reaches the
-        # threshold, else never; _settle keeps the column sum in 0..1
+        # threshold, else never; every query keeps the class total in 0..1
         vid, l0 = self._info[node]
-        col, t = counts[l0], self.thresholds[vid]
-        fires = 0 if col[0] else next(
+        row, t = counts[l0], self.thresholds[vid]
+        fires = 0 if row[0] else next(
             (i for i, r in enumerate(reds[l0], 1) if r >= t), None
         )
-        met = not any(col) if fires is None else col[fires]
-        return ("leaf", fires) if met else False
+        met = not any(row) if fires is None else row[fires]
+        return (fires,) if met else False
 
     def _expand(self, node: int, counts, reds):
-        """Frame of an inner node: yields child queries, returns the witness."""
+        """Frame of an inner node: yields child queries, returns the witness.
+
+        The witness is the tuple of child queries of the alternative that
+        succeeded.
+        """
         kind = self._kind[node]
         if kind == "union":
             left, right = self._info[node]
             for counts1, counts2 in self._union_splits(counts, left, right):
-                if (yield left, counts1, reds) and (yield right, counts2, reds):
-                    return ("union", counts1, counts2)
+                first, second = (left, counts1, reds), (right, counts2, reds)
+                if (yield first) and (yield second):
+                    return first, second
             return False
         child, la, lb = self._info[node]
         if kind == "eta":
-            reds1 = self._eta_reductions(counts, reds, la, lb)
-            return ("eta", reds1) if (yield child, counts, reds1) else False
-        # rho: class la is empty after the rename, so _settle's bounds
-        # check has already made column la zero
+            query = (child, counts, self._eta_reductions(counts, reds, la, lb))
+            return (query,) if (yield query) else False
+        # rho: class la is empty after the rename, so row la of counts is zero
         reds1 = (*reds[:la], reds[lb], *reds[la + 1 :])
         for counts1 in self._rho_splits(counts, child, la, lb):
-            if (yield child, counts1, reds1):
-                return ("rho", counts1, reds1)
+            query = (child, counts1, reds1)
+            if (yield query):
+                return (query,)
         return False
 
     def _eta_reductions(self, counts, reds, la, lb):
         # at round i, every vertex of the opposite class active by round
-        # i - 1 is a new neighbour: a prefix sum of its column
+        # i - 1 is a new neighbour: a prefix sum of its counts
         rcap = self.rcap
         out = list(reds)
         for x, y in ((la, lb), (lb, la)):
@@ -394,44 +382,44 @@ class CliqueWidthSolver:
             )
         return tuple(out)
 
-    def _column_splits(self, col, lo, hi):
-        """Ways to split a column in two, the first part summing into [lo, hi]."""
-        key = (col, lo, hi)
+    def _class_splits(self, row, lo, hi):
+        """Ways to split a class's counts in two, the first summing into [lo, hi]."""
+        key = (row, lo, hi)
         found = self._splits.get(key)
         if found is None:
             found = self._splits[key] = [
-                (part, tuple(c - x for c, x in zip(col, part)))
-                for part in product(*(range(c + 1) for c in col))
+                (part, tuple(c - x for c, x in zip(row, part)))
+                for part in product(*(range(c + 1) for c in row))
                 if lo <= sum(part) <= hi
             ]
         return found
 
     def _union_splits(self, counts, left, right):
-        per_col = []
+        per_class = []
         caps, needs = self._label_counts, self._target_counts
-        for col, cap_l, cap_r, need_l, need_r in zip(
+        for row, cap_l, cap_r, need_l, need_r in zip(
             counts, caps[left], caps[right], needs[left], needs[right]
         ):
-            total = sum(col)
-            options = self._column_splits(
-                col, max(need_l, total - cap_r), min(cap_l, total - need_r)
+            total = sum(row)
+            options = self._class_splits(
+                row, max(need_l, total - cap_r), min(cap_l, total - need_r)
             )
             if not options:
                 return
-            per_col.append(options)
-        for combo in product(*per_col):
+            per_class.append(options)
+        for combo in product(*per_class):
             yield tuple(part for part, _ in combo), tuple(rest for _, rest in combo)
 
     def _rho_splits(self, counts, child, la, lb):
         caps, needs = self._label_counts[child], self._target_counts[child]
-        cols = list(counts)
-        total = sum(cols[lb])
-        for part, rest in self._column_splits(
-            cols[lb], max(needs[la], total - caps[lb]), min(caps[la], total - needs[lb])
+        rows = list(counts)
+        total = sum(rows[lb])
+        for part, rest in self._class_splits(
+            rows[lb], max(needs[la], total - caps[lb]), min(caps[la], total - needs[lb])
         ):
-            cols[la] = part
-            cols[lb] = rest
-            yield tuple(cols)
+            rows[la] = part
+            rows[lb] = rest
+            yield tuple(rows)
 
     # -- root-side scanning -------------------------------------------------
 
@@ -487,7 +475,7 @@ class CliqueWidthSolver:
             rest = options(i + 1, left, need)
 
     def _scan(self, budget: int, requirement: int):
-        """The satisfiable root counts with the fewest seeds, by class, or None."""
+        """The satisfiable root counts with the fewest seeds, or None."""
         root, zero = self.root_index, self._zero
         for matrix in self._root_counts(budget, requirement):
             counts = tuple(zip(*matrix))
@@ -495,23 +483,27 @@ class CliqueWidthSolver:
                 return counts
         return None
 
-    def _by_class(self, counts: CountMatrix, reductions: ReductionMatrix):
-        # a latency of 0 has no reduction rows, yet k empty classes
-        return tuple(zip(*counts)), tuple(zip(*reductions)) or ((),) * self.k
-
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
-        self._check_dims(counts, reductions)
-        return bool(self._gamma(self.root_index, *self._by_class(counts, reductions)))
+        key = self._entry(self.root_index, counts, reductions)
+        return key is not None and bool(self._gamma(self.root_index, *key))
 
-    def _check_dims(self, counts, reductions) -> None:
-        if len(counts) != self.latency + 1 or len(reductions) != self.latency:
-            raise ValueError("matrix rows do not match the latency bound")
-        for row in (*counts, *reductions):
-            if len(row) != self.k:
-                raise ValueError(f"matrix rows must have width {self.k}")
-            if any(x < 0 for x in row):
-                raise ValueError("matrix entries must be non-negative")
+    def _entry(self, node: int, counts, reductions):
+        """A public query as a memo key; None when a class total is out of bounds."""
+        counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
+        shape = (self.latency + 1,) * self.k + (self.latency,) * self.k
+        if (*map(len, counts), *map(len, reds)) != shape:
+            raise ValueError(
+                "each label class needs latency+1 counts and latency reductions"
+            )
+        if any(x < 0 for row in (*counts, *reds) for x in row):
+            raise ValueError("query entries must be non-negative")
+        for row, lo, hi in zip(
+            counts, self._target_counts[node], self._label_counts[node]
+        ):
+            if not lo <= sum(row) <= hi:
+                return None
+        return counts, reds
 
     def decide(self, budget: int, requirement: int = 0) -> bool:
         """Can at most budget seeds activate the requirement and every target?"""
@@ -547,10 +539,10 @@ class CliqueWidthSolver:
         """
         if node is None:
             node = self.root_index
-        query = self._by_class(counts, reductions)
-        if not self._gamma(node, *query):
+        key = self._entry(node, counts, reductions)
+        if key is None or not self._gamma(node, *key):
             raise ValueError("query is not satisfiable; nothing to reconstruct")
-        return self._process(node, *query)
+        return self._process(node, *key)
 
     def _process(self, node: int, counts, reductions) -> list[frozenset[int]]:
         # every query a witness names was evaluated satisfiable, so the
@@ -559,19 +551,11 @@ class CliqueWidthSolver:
         stack = [(node, counts, reductions)]
         while stack:
             node, counts, reds = stack.pop()
-            witness = self._memo[node][(counts, reds)]
-            kind = witness[0]
-            if kind == "leaf":
-                if witness[1] is not None:
-                    fresh[witness[1]].append(self._info[node][0])
-            elif kind == "union":
-                left, right = self._info[node]
-                stack.append((left, witness[1], reds))
-                stack.append((right, witness[2], reds))
-            elif kind == "eta":
-                stack.append((self._info[node][0], counts, witness[1]))
-            else:
-                stack.append((self._info[node][0], witness[1], witness[2]))
+            witness = self._memo[node][counts, reds]
+            if self._kind[node] != "leaf":
+                stack.extend(witness)
+            elif witness[0] is not None:
+                fresh[witness[0]].append(self._info[node][0])
         process = []
         active: frozenset[int] = frozenset()
         for round_fresh in fresh:

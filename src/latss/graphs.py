@@ -199,48 +199,42 @@ def normalize_thresholds(
 class ActivationTrace:
     """Rounds of a cascade, stored as per-round activation deltas.
 
-    ``deltas[0]`` is the seed set; ``deltas[i]`` holds the vertices that
-    became active at round i.  Cumulative sets are exposed through
-    :attr:`rounds` (materialized; avoid on very long traces) and
-    :meth:`active_at` / :attr:`final` (cheap).
+    ``steps[0]`` is the seed set and ``steps[i]`` holds the vertices that
+    became active at round i, up to the first round that activates
+    nothing: no later round activates anything either.  :attr:`deltas`
+    and :attr:`rounds` pad to ``latency + 1`` entries (materialized;
+    avoid on very long traces); :meth:`active_at` and :attr:`final`
+    never pad.
     """
 
-    deltas: tuple[frozenset[int], ...]
-
-    @property
-    def latency(self) -> int:
-        return len(self.deltas) - 1
+    steps: tuple[frozenset[int], ...]
+    latency: int
 
     @property
     def seed(self) -> frozenset[int]:
-        return self.deltas[0]
+        return self.steps[0]
+
+    @cached_property
+    def deltas(self) -> tuple[frozenset[int], ...]:
+        return self.steps + (frozenset(),) * (self.latency + 1 - len(self.steps))
 
     @cached_property
     def rounds(self) -> tuple[frozenset[int], ...]:
-        acc: set[int] = set()
+        acc: frozenset[int] = frozenset()
         out = []
-        for delta in self.deltas:
-            if delta:
-                acc |= delta
-                out.append(frozenset(acc))
-            else:
-                out.append(out[-1] if out else frozenset())
-        return tuple(out)
+        for delta in self.steps:
+            acc = acc.union(delta)
+            out.append(acc)
+        return (*out, *(acc,) * (self.latency + 1 - len(out)))
 
     @cached_property
     def final(self) -> frozenset[int]:
-        acc: set[int] = set()
-        for delta in self.deltas:
-            acc |= delta
-        return frozenset(acc)
+        return self.active_at(self.latency)
 
     def active_at(self, i: int) -> frozenset[int]:
         if not 0 <= i <= self.latency:
             raise IndexError(f"round {i} outside trace")
-        acc: set[int] = set()
-        for delta in self.deltas[: i + 1]:
-            acc |= delta
-        return frozenset(acc)
+        return frozenset().union(*self.steps[: i + 1])
 
 
 def simulate(
@@ -253,8 +247,9 @@ def simulate(
 
     Round i activates exactly the inactive vertices with at least
     threshold-many neighbours active at round i-1.  Neighbour counts
-    are maintained incrementally, so total work is O(V + E) plus the
-    round loop, independent of how long the trace is.
+    are maintained incrementally, so total work is O(V + E), however
+    large the latency: the run stops at the first round that activates
+    nothing.
     """
     n = graph.n
     _check_thresholds(graph, thresholds)
@@ -273,35 +268,24 @@ def simulate(
         for w in graph.adjacency[v]:
             hits[w] += 1
 
-    deltas: list[frozenset[int]] = [seed_set]
-    frontier = seed_set
-    empty: frozenset[int] = frozenset()
-    for i in range(1, latency + 1):
-        if i == 1:
-            # t(v)=0 vertices join here regardless of neighbours.
-            newly = {
-                w
-                for w in range(n)
-                if not active[w] and hits[w] >= thresholds[w]
-            }
-        else:
-            newly = {
-                w
-                for v in frontier
-                for w in graph.adjacency[v]
-                if not active[w] and hits[w] >= thresholds[w]
-            }
-        if not newly:
-            deltas.extend([empty] * (latency - i + 1))
-            break
+    steps: list[frozenset[int]] = [seed_set]
+    # round 1's candidates include the threshold-0 vertices; after that a
+    # vertex can only become ready when a neighbour has just fired
+    newly = {w for w in range(n) if not active[w] and hits[w] >= thresholds[w]}
+    while newly and len(steps) <= latency:
         for w in newly:
             active[w] = 1
         for w in newly:
             for x in graph.adjacency[w]:
                 hits[x] += 1
-        deltas.append(frozenset(newly))
-        frontier = newly
-    return ActivationTrace(tuple(deltas))
+        steps.append(frozenset(newly))
+        newly = {
+            x
+            for w in newly
+            for x in graph.adjacency[w]
+            if not active[x] and hits[x] >= thresholds[x]
+        }
+    return ActivationTrace(tuple(steps), latency)
 
 
 @dataclass(frozen=True)

@@ -58,31 +58,34 @@ def forests(draw, min_n: int = 1, max_n: int = 8):
     return Graph(n, [(up, i) for i, up in enumerate(ups, 1) if up is not None])
 
 
+@st.composite
 def expressions(
-    max_labels: int = 3, max_leaves: int = 10, min_leaves: int | None = None
+    draw, max_labels: int = 3, max_leaves: int = 10, min_leaves: int | None = None
 ):
     """Random well-formed expression trees with unique leaf names.
 
-    ``min_leaves`` and ``max_leaves`` bound the draws of ``st.recursive``,
-    which counts a rename or an edge insertion as a draw too.
+    The number of leaves is drawn first, from ``min_leaves`` (default 1)
+    to ``max_leaves``.  Unions then join two parts at a time until one
+    is left; every union, and the whole expression, may gain up to two
+    edge insertions or renames on top.
     """
     labels = st.integers(1, max_labels)
-    leaf = st.builds(Leaf, labels, st.just("x"))
 
-    def extend(children):
-        return st.one_of(
-            st.builds(Union, children, children),
-            st.builds(Eta, labels, labels, children).filter(
-                lambda e: e.a != e.b
-            ),
-            st.builds(Rho, labels, labels, children).filter(
-                lambda e: e.a != e.b
-            ),
-        )
+    def wrapped(expr):
+        for _ in range(draw(st.integers(0, 2 if max_labels > 1 else 0))):
+            # b is drawn from the labels other than a
+            a, b = draw(labels), draw(st.integers(1, max_labels - 1))
+            b += b >= a
+            expr = draw(st.sampled_from((Eta, Rho)))(a, b, expr)
+        return expr
 
-    return st.recursive(
-        leaf, extend, min_leaves=min_leaves, max_leaves=max_leaves
-    ).map(canonicalize_names)
+    count = draw(st.integers(min_leaves or 1, max_leaves))
+    parts = [Leaf(draw(labels), "x") for _ in range(count)]
+    while len(parts) > 1:
+        first = parts.pop(draw(st.integers(0, len(parts) - 1)))
+        second = parts.pop(draw(st.integers(0, len(parts) - 1)))
+        parts.append(wrapped(Union(first, second)))
+    return canonicalize_names(wrapped(parts[0]))
 
 
 def random_expression(rng: random.Random, max_vertices: int = 6, k: int = 3):

@@ -33,12 +33,17 @@ def run(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def run_captured(argv):
+    """Exit code, standard output and standard error of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_quietly(argv):
     """Exit code and standard output of one run; for use inside Hypothesis."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
+    return run_captured(argv)[:2]
 
 
 def write(tmp_path, doc, name="instance.json"):
@@ -336,11 +341,34 @@ class TestSolveCommand:
         assert doc["command"] == "solve" and doc["solver"] == "tree"
 
 
+def _drawn_document(expr, data):
+    """A valid instance document on a drawn expression, of a drawn variant."""
+    graph = evaluate(expr).graph
+    n = graph.n
+    doc = {
+        "n": n,
+        "edges": _edge_list(graph),
+        "thresholds": [
+            data.draw(st.integers(0, graph.degree(v) + 2)) for v in range(n)
+        ],
+        "lambda": data.draw(st.integers(0, 3)),
+        "kexpr": unparse(expr),
+    }
+    variant = data.draw(st.sampled_from(["lba", "lbA", "lA"]))
+    if variant != "lA":
+        doc["budget"] = data.draw(st.integers(0, n))
+    if variant == "lba":
+        doc["alpha"] = data.draw(st.integers(0, n))
+    else:
+        doc["targets"] = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    return doc
+
+
 class TestSolveFuzz:
     """``solve`` on drawn expression instances: one JSON line, exit 0 or 1,
     and the clique-width DP agrees with brute force."""
 
-    # at least three draws: the strategy's own mix is mostly one or two vertices
+    # at least three vertices, so most instances have edges to spread along
     @settings(max_examples=200, deadline=None)
     @given(
         expressions(max_labels=3, min_leaves=3, max_leaves=6).filter(
@@ -349,24 +377,7 @@ class TestSolveFuzz:
         st.data(),
     )
     def test_cwd_agrees_with_brute_force(self, tmp_path_factory, expr, data):
-        graph = evaluate(expr).graph
-        n = graph.n
-        doc = {
-            "n": n,
-            "edges": _edge_list(graph),
-            "thresholds": [
-                data.draw(st.integers(0, graph.degree(v) + 2)) for v in range(n)
-            ],
-            "lambda": data.draw(st.integers(0, 3)),
-            "kexpr": unparse(expr),
-        }
-        variant = data.draw(st.sampled_from(["lba", "lbA", "lA"]))
-        if variant != "lA":
-            doc["budget"] = data.draw(st.integers(0, n))
-        if variant == "lba":
-            doc["alpha"] = data.draw(st.integers(0, n))
-        else:
-            doc["targets"] = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+        doc = _drawn_document(expr, data)
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_text(json.dumps(doc))
         results = []
@@ -415,6 +426,94 @@ class TestForestFuzz:
             assert len(result["round_sizes"]) == min(lam, n) + 1
             sizes.append(result.get("size"))
         assert sizes[0] == sizes[1]
+
+
+class TestMalformedDocumentFuzz:
+    """Mutated valid documents: every command exits 0, 1 or 2, never 3.
+    Exits 0 and 1 print one JSON line; exit 2 prints ``error:`` on
+    stderr and nothing on stdout."""
+
+    COMMANDS = (
+        ["solve", "--method", "tree"],
+        ["solve", "--method", "cwd"],
+        ["solve", "--method", "brute"],
+        ["simulate", "--seed", "0"],
+        ["kexpr", "parse"],
+    )
+    OTHER_TYPES = (None, True, False, 1.5, "1", [], {}, [1], {"n": 1})
+    EXTREMES = (-1, 10**30)
+    # no drawn document has more than five vertices
+    BAD_IDS = (-1, 5, 10**30)
+    PIECES = ("", "(", ")", ",", "U", "eta", "->", "0", "99999", "x")
+
+    def mutate(self, doc, kind, data):
+        """The document with one defect of the given kind."""
+        draw = data.draw
+        if kind == "wrap":
+            return [doc]
+        if kind == "delete" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif kind in ("retype", "extreme") and doc:
+            holder, at = doc, draw(st.sampled_from(sorted(doc)))
+            # sometimes an entry of a list field, or of an edge, instead
+            while isinstance(holder[at], list) and holder[at] and draw(st.booleans()):
+                holder = holder[at]
+                at = draw(st.integers(0, len(holder) - 1))
+            pool = self.OTHER_TYPES if kind == "retype" else self.EXTREMES
+            holder[at] = draw(st.sampled_from(pool))
+        elif kind == "bad-id":
+            bad = draw(st.sampled_from(self.BAD_IDS))
+            field = draw(st.sampled_from(["edges", "targets"]))
+            if isinstance(doc.get(field), list):
+                doc[field].append(
+                    draw(st.sampled_from([[0, bad], [bad, 0], [0, 0]]))
+                    if field == "edges"
+                    else bad
+                )
+        elif kind == "thresholds" and isinstance(doc.get("thresholds"), list):
+            thresholds = doc["thresholds"]
+            if thresholds and draw(st.booleans()):
+                thresholds.pop()
+            else:
+                thresholds.append(1)
+        elif kind == "kexpr" and isinstance(doc.get("kexpr"), str):
+            text = doc["kexpr"]
+            at = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 2))
+            piece = draw(st.sampled_from(self.PIECES))
+            doc["kexpr"] = text[:at] + piece + text[at + cut :]
+        return doc
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        expressions(max_labels=3, max_leaves=5).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.lists(
+            st.sampled_from(
+                ["delete", "retype", "extreme", "bad-id", "thresholds", "kexpr", "wrap"]
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.data(),
+    )
+    def test_exit_codes(self, tmp_path_factory, expr, kinds, data):
+        doc = _drawn_document(expr, data)
+        for kind in kinds:
+            if isinstance(doc, list):
+                break
+            doc = self.mutate(doc, kind, data)
+        path = tmp_path_factory.getbasetemp() / "malformed.json"
+        path.write_text(json.dumps(doc))
+        for argv in self.COMMANDS:
+            code, out, err = run_captured(argv + ["--instance", str(path)])
+            assert code in (0, 1, 2), err
+            if code == 2:
+                assert out == "" and err.startswith("error:")
+            else:
+                assert out.count("\n") == 1 and out.endswith("\n")
+                json.loads(out)
 
 
 class TestKexprCommand:

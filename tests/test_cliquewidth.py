@@ -35,78 +35,78 @@ def solver_for(text, thresholds, latency):
 class TestVerifySchedule:
     def test_seeded_vertex_is_fine(self):
         lg = evaluate(parse("1(u)"))
-        counts = ((1,), (0,))
+        counts = ((1, 0),)
         assert verify_schedule(lg, (1,), counts, ((0,),), [{0}, {0}])
         assert verify_schedule(lg, (1,), counts, ((7,),), [{0}, {0}])
 
     def test_never_active_needs_no_help(self):
         lg = evaluate(parse("1(u)"))
-        counts = ((0,), (0,))
+        counts = ((0, 0),)
         assert verify_schedule(lg, (1,), counts, ((0,),), [set(), set()])
 
     def test_unsupported_activation_fails(self):
         lg = evaluate(parse("1(u)"))
-        counts = ((0,), (1,))
+        counts = ((0, 1),)
         assert not verify_schedule(lg, (1,), counts, ((0,),), [set(), {0}])
 
     def test_mismatched_counts_fail(self):
         lg = evaluate(parse("1(u)"))
-        assert not verify_schedule(lg, (1,), ((0,), (0,)), ((1,),), [set(), set()])
+        assert not verify_schedule(lg, (1,), ((0, 0),), ((1,),), [set(), set()])
 
     def test_non_monotone_process_fails(self):
         lg = evaluate(parse("U(1(u), 1(v))"))
         counts = ((1, 0), (0, 0))
         # second round drops the seeded vertex
-        assert not verify_schedule(lg, (1, 1), counts, ((0, 0),), [{0}, set()])
+        assert not verify_schedule(lg, (1, 1), counts, ((0,), (0,)), [{0}, set()])
 
     def test_dimension_mismatch_raises(self):
         lg = evaluate(parse("1(u)"))
         with pytest.raises(ValueError):
-            verify_schedule(lg, (1,), ((1,),), ((0,), (0,)), [{0}, {0}])
+            verify_schedule(lg, (1,), ((1,),), ((0, 0),), [{0}, {0}])
         with pytest.raises(ValueError):
-            verify_schedule(lg, (1,), ((1,), (0,)), ((0,),), [{0}])
+            verify_schedule(lg, (1,), ((1, 0),), ((0,),), [{0}])
 
 
 class TestLeafQueries:
     def test_seed_round_always_allowed(self):
         s = solver_for("1(u)", (1,), 1)
-        assert s.query(((1,), (0,)), ((0,),))
+        assert s.query(((1, 0),), ((0,),))
 
     def test_staying_inactive_needs_low_reductions(self):
         s = solver_for("1(u)", (1,), 1)
-        assert s.query(((0,), (0,)), ((0,),))
-        assert not s.query(((0,), (0,)), ((1,),))
+        assert s.query(((0, 0),), ((0,),))
+        assert not s.query(((0, 0),), ((1,),))
 
     def test_late_activation_needs_matching_reduction_round(self):
         s = solver_for("1(u)", (1,), 1)
-        assert not s.query(((0,), (1,)), ((0,),))
-        assert s.query(((0,), (1,)), ((1,),))
+        assert not s.query(((0, 1),), ((0,),))
+        assert s.query(((0, 1),), ((1,),))
 
     def test_target_leaf_must_activate(self):
         s = CliqueWidthSolver(parse("1(u)"), (1,), 1, {0})
-        assert not s.query(((0,), (0,)), ((0,),))
-        assert s.query(((1,), (0,)), ((0,),))
+        assert not s.query(((0, 0),), ((0,),))
+        assert s.query(((1, 0),), ((0,),))
 
     def test_activation_at_first_qualifying_round_only(self):
         s = solver_for("1(u)", (1,), 2)
-        assert s.query(((0,), (1,), (0,)), ((1,), (0,)))
+        assert s.query(((0, 1, 0),), ((1, 0),))
         # the reduction already fires at round 1, so round 2 is impossible
-        assert not s.query(((0,), (0,), (1,)), ((1,), (1,)))
-        assert s.query(((0,), (0,), (1,)), ((0,), (1,)))
+        assert not s.query(((0, 0, 1),), ((1, 1),))
+        assert s.query(((0, 0, 1),), ((0, 1),))
 
 
 class TestUnionQueries:
     def test_split_between_isolated_vertices(self):
         s = solver_for("U(1(u), 1(v))", (1, 1), 1)
-        assert s.query(((2,), (0,)), ((0,),))
+        assert s.query(((2, 0),), ((0,),))
 
     def test_isolated_vertex_cannot_self_activate(self):
         s = solver_for("U(1(u), 1(v))", (1, 1), 1)
-        assert not s.query(((1,), (1,)), ((0,),))
+        assert not s.query(((1, 1),), ((0,),))
 
     def test_all_zero_query(self):
         s = solver_for("U(1(u), 1(v))", (1, 1), 1)
-        assert s.query(((0,), (0,)), ((0,),))
+        assert s.query(((0, 0),), ((0,),))
 
     def test_commutes(self):
         from latss.kexpr import Union, canonicalize_names
@@ -128,12 +128,12 @@ class TestUnionQueries:
             assert sa.k == sb.k
             for _ in range(15):
                 counts = tuple(
-                    tuple(rng.randint(0, 2) for _ in range(sa.k))
-                    for _ in range(lam + 1)
+                    tuple(rng.randint(0, 2) for _ in range(lam + 1))
+                    for _ in range(sa.k)
                 )
                 reds = tuple(
-                    tuple(rng.randint(0, 2) for _ in range(sa.k))
-                    for _ in range(lam)
+                    tuple(rng.randint(0, 2) for _ in range(lam))
+                    for _ in range(sa.k)
                 )
                 assert sa.query(counts, reds) == sb.query(counts, reds)
 
@@ -142,15 +142,15 @@ class TestEtaQueries:
     def test_neighbour_counts_reduce_thresholds(self):
         s = solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
         # seed the label-1 endpoint, activate the label-2 endpoint next round
-        assert s.query(((1, 0), (0, 1)), ((0, 0),))
+        assert s.query(((1, 0), (0, 1)), ((0,), (0,)))
 
     def test_zero_query_passes_through(self):
         s = solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
-        assert s.query(((0, 0), (0, 0)), ((0, 0),))
+        assert s.query(((0, 0), (0, 0)), ((0,), (0,)))
 
     def test_no_activator_no_spread(self):
         s = solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
-        assert not s.query(((0, 0), (0, 1)), ((0, 0),))
+        assert not s.query(((0, 0), (0, 1)), ((0,), (0,)))
 
     def test_rejects_redundant_expressions(self):
         with pytest.raises(IrredundancyError):
@@ -200,15 +200,15 @@ class TestEtaQueries:
 class TestRhoQueries:
     def test_forced_split_when_source_class_empty(self):
         s = solver_for("rho(2->1, 1(u))", (1,), 1)
-        assert s.query(((1, 0), (0, 0)), ((0, 0),))
+        assert s.query(((1, 0), (0, 0)), ((0,), (0,)))
 
     def test_counts_on_renamed_label_unsatisfiable(self):
         s = solver_for("rho(2->1, U(1(u), 2(v)))", (1, 1), 0)
-        assert not s.query(((1, 1),), ())
+        assert not s.query(((1,), (1,)), ((), ()))
 
     def test_merged_class_splits_across_sources(self):
         s = solver_for("rho(2->1, U(1(u), 2(v)))", (1, 1), 0)
-        assert s.query(((2, 0),), ())
+        assert s.query(((2,), (0,)), ((), ()))
 
 
 class TestDecideSelect:
@@ -236,7 +236,7 @@ class TestDecideSelect:
         for budget in range(4):
             for req in range(4):
                 solver.decide(budget, req)
-        zero = ((0,) * solver.k,)
+        zero = ((0,),) * solver.k
         for _, reds in solver.queries(solver.root_index):
             assert reds == zero
 
@@ -252,7 +252,10 @@ class TestDecideSelect:
             solver = CliqueWidthSolver(expr, thr, rng.randint(0, 2))
             budget = rng.randint(0, n)
             solver.decide(budget, rng.randint(0, n))
-            scanned = [counts for counts, _ in solver.queries(solver.root_index)]
+            # by round, to compare in scan order
+            scanned = [
+                tuple(zip(*counts)) for counts, _ in solver.queries(solver.root_index)
+            ]
             assert all(sum(counts[0]) <= budget for counts in scanned)
             assert scanned == sorted(scanned, key=lambda c: (sum(c[0]), c))
 
@@ -397,9 +400,10 @@ class TestStallPruning:
             for budget in range(n + 1):
                 solver.decide(budget)
             for counts, _ in solver.queries(solver.root_index):
-                empty = [i for i in range(1, n + 1) if not any(counts[i])]
+                rounds = list(zip(*counts))
+                empty = [i for i in range(1, n + 1) if not any(rounds[i])]
                 if empty:
-                    assert not any(map(any, counts[empty[0] :]))
+                    assert not any(map(any, rounds[empty[0] :]))
 
     def test_threshold_zero_fires_without_seeds(self):
         expr = path_expression(3)
@@ -452,29 +456,31 @@ class TestWitnesses:
                 assert {v for v in targets if v in to_local} <= process[-1]
 
     @pytest.mark.parametrize("latency", [2, 1, 0])
-    def test_public_matrices_stay_row_major(self, latency):
-        # the solver stores queries by label class; what goes in by round
-        # comes out by round, at every latency including one without
-        # reduction rows
+    def test_public_queries_round_trip_by_class(self, latency):
+        # what goes in by label class comes out as the same memo key, at
+        # every latency including one whose classes have no reductions;
+        # lists go in as well as tuples
         expr = path_expression(4)
-        counts = ((1, 0, 0), (1, 1, 0), (0, 0, 1))[: latency + 1]
-        reds = ((2, 0, 1), (0, 1, 0))[:latency]
+        counts = tuple(row[: latency + 1] for row in ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        reds = tuple(row[:latency] for row in ((2, 0), (0, 1), (1, 0)))
         solver = CliqueWidthSolver(expr, (1, 2, 2, 1), latency)
         assert solver.k == 3
-        solver.query(counts, reds)
+        solver.query([list(row) for row in counts], [list(row) for row in reds])
         assert solver.queries(solver.root_index) == [(counts, reds)]
         for budget in range(5):
             solver.decide(budget, 4)
         witnessed = list(solver.witnessed_entries())
         assert any(node == solver.root_index for node, _, _ in witnessed)
         for node, counts, reds in witnessed:
-            assert len(counts) == latency + 1 and len(reds) == latency
+            assert len(counts) == len(reds) == solver.k
+            assert all(len(row) == latency + 1 for row in counts)
+            assert all(len(row) == latency for row in reds)
             assert len(solver.reconstruct(counts, reds, node)) == latency + 1
 
     def test_reconstruct_rejects_unsatisfiable(self):
         solver = solver_for("1(u)", (1,), 1)
         with pytest.raises(ValueError, match="not satisfiable"):
-            solver.reconstruct(((0,), (1,)), ((0,),))
+            solver.reconstruct(((0, 1),), ((0,),))
 
 
 class TestValidation:
@@ -483,9 +489,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             solver.query(((1,),), ((0,),))
         with pytest.raises(ValueError):
-            solver.query(((1,), (0,)), ())
+            solver.query(((1, 0),), ())
         with pytest.raises(ValueError):
             solver.query(((1, 0), (0, 0)), ((0,),))
+
+    def test_class_total_out_of_bounds_is_unsatisfiable(self):
+        # checked once at the entry: a total above the class size or below
+        # its targets is false, and there is nothing to reconstruct
+        solver = CliqueWidthSolver(parse("U(1(u), 2(v))"), (1, 1), 1, {1})
+        assert not solver.query(((1, 1), (1, 0)), ((0,), (0,)))
+        assert not solver.query(((0, 0), (0, 0)), ((0,), (0,)))
+        assert solver.query(((0, 0), (1, 0)), ((0,), (0,)))
+        with pytest.raises(ValueError, match="not satisfiable"):
+            solver.reconstruct(((0, 0), (0, 0)), ((0,), (0,)))
+        assert solver.queries(solver.root_index) == [(((0, 0), (1, 0)), ((0,), (0,)))]
 
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

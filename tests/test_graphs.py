@@ -139,6 +139,17 @@ class TestSimulate:
         with pytest.raises(IndexError):
             trace.active_at(3)
 
+    def test_huge_latency_stops_at_the_stall(self):
+        # the run ends at the first round that activates nothing, so a
+        # latency far beyond any index costs nothing
+        lam = 10**30
+        trace = simulate(path_graph(3), (1, 1, 1), {0}, lam)
+        assert trace.latency == lam and trace.seed == frozenset({0})
+        assert trace.final == {0, 1, 2}
+        assert trace.active_at(5) == frozenset({0, 1, 2})
+        instance = Instance(path_graph(3), (1, 1, 1), lam, targets={2})
+        assert verify_solution(instance, {0})
+
 
 class TestInstance:
     def test_variant_dispatch(self):
