@@ -215,7 +215,7 @@ def _result_doc(
 
 
 def _tree_for_cwd(instance: Instance) -> tuple[kexpr.KExpr, list[int]]:
-    """Fallback expression when the document carries none but is a tree.
+    """Fallback expression when the document carries none but is a forest.
 
     Also returns the instance id of each expression vertex: leaves are
     named after instance ids, in an order evaluation may permute.
@@ -224,7 +224,7 @@ def _tree_for_cwd(instance: Instance) -> tuple[kexpr.KExpr, list[int]]:
         expression = kexpr.tree_expression(instance.graph)
     except ValueError as exc:
         raise InstanceError(
-            "cwd method needs a kexpr in the instance (non-tree graph)"
+            "cwd method needs a kexpr in the instance (graph has a cycle)"
         ) from exc
     return expression, [int(name) for name in kexpr.leaf_names(expression)]
 

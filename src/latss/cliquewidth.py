@@ -40,6 +40,13 @@ without seeds.  The scan takes seed rounds in increasing seed count, so
 the first satisfiable query within a budget uses the fewest seeds of
 any: one scan at budget n answers the minimisation.
 
+The scan bounds each round i >= 1 by the thresholds.  A vertex that is
+not a seed and fires by round i has at most min(A(i-1), degree) active
+neighbours, A(i-1) being the number active by round i-1, so its
+threshold is at most that.  A table built once counts such vertices per
+root class; no cascade fires more of a class in rounds 1..i, so the
+scan drops only matrices no cascade produces and keeps its order.
+
 Reduction entries are clamped at the largest threshold: any value at or
 above every threshold behaves identically in the activation rule, so
 the clamp merges equivalent queries without changing satisfiability.
@@ -51,6 +58,7 @@ run concurrently on shared inputs.
 from __future__ import annotations
 
 from itertools import accumulate, product
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import normalize_thresholds, simulate
@@ -216,6 +224,12 @@ class CliqueWidthSolver:
             name: v for v, name in enumerate(self.labeled.names)
         }
         self._zero = ((0,) * latency,) * self.k
+        # _fire[a][l]: vertices of root class l with threshold <= min(a, degree)
+        fire = [[0] * self.k for _ in range(len(self.thresholds) + 1)]
+        for v, (lab, t) in enumerate(zip(self.labeled.labels, self.thresholds)):
+            if t <= self.labeled.graph.degree(v):
+                fire[t][lab - 1] += 1
+        self._fire = [*accumulate(map(tuple, fire), _add)]
         self._build_nodes(post)
         self._memo: list[dict] = [{} for _ in self._kind]
         # class splits by (counts, lo, hi), shared by union and rho nodes
@@ -429,34 +443,40 @@ class CliqueWidthSolver:
         Each column sum lies between the targets and the size of its
         root label class; the seed row sums to at most ``seed_cap`` and
         the whole matrix to at least ``min_total``.  A row i >= 1 that
-        sums to zero ends the cascade, so every later row is zero.
+        sums to zero ends the cascade, so every later row is zero.  Row
+        i >= 1 of a class is at most ``_fire[A(i-1)]`` less the class
+        total of rows 1..i-1, A(i-1) being the total of rows 0..i-1: a
+        vertex that fires by round i has threshold <= min(A(i-1), degree).
         """
         root = self.root_index
         rows = self.latency + 1
         zero_row = (0,) * self.k
+        fire = self._fire
 
-        def options(i, left, need):
+        def options(i, left, need, fired, total):
             if i < rows - 1:
                 need = zero_row
             if i == 0:
                 return _rows_by_sum(need, left, seed_cap)
-            return product(*(range(n, c + 1) for n, c in zip(need, left)))
+            hi = map(min, left, map(sub, fire[total], fired))
+            return product(*(range(n, c + 1) for n, c in zip(need, hi)))
 
         # the rows fixed so far, and for each the state before it: its
-        # remaining options, the unused class sizes, the unmet targets
-        # and the total activated by the rows above it
+        # remaining options, the unused class sizes, the unmet targets,
+        # the class totals after the seed row and the total activated
         matrix: list[tuple[int, ...]] = []
         saved: list[tuple] = []
         left = self._label_counts[root]
         need = self._target_counts[root]
+        fired = zero_row
         total = 0
-        rest = options(0, left, need)
+        rest = options(0, left, need, fired, total)
         while True:
             row = next(rest, None)
             if row is None:
                 if not saved:
                     return
-                rest, left, need, total = saved.pop()
+                rest, left, need, fired, total = saved.pop()
                 matrix.pop()
                 continue
             i = len(matrix)
@@ -467,12 +487,13 @@ class CliqueWidthSolver:
                 ):
                     yield (*matrix, row, *(zero_row,) * (rows - 1 - i))
                 continue
-            saved.append((rest, left, need, total))
+            saved.append((rest, left, need, fired, total))
             matrix.append(row)
             left = tuple(c - x for c, x in zip(left, row))
             need = tuple(max(0, n - x) for n, x in zip(need, row))
+            fired = _add(fired, row) if i else fired
             total += active
-            rest = options(i + 1, left, need)
+            rest = options(i + 1, left, need, fired, total)
 
     def _scan(self, budget: int, requirement: int):
         """The satisfiable root counts with the fewest seeds, or None."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from random import Random
 from typing import Callable, Iterable, Sequence, Union as TypingUnion
@@ -716,17 +717,16 @@ def cograph_expression(n: int, rng: Random) -> KExpr:
 
 
 def tree_expression(tree: Graph, root: int = 0) -> KExpr:
-    """Width-3 irredundant expression evaluating to the given tree.
+    """Width-3 irredundant expression evaluating to the given forest.
 
     Standard bottom-up construction: a finished subtree has its root
     labeled 2 and everything else labeled 1; a child is relabeled to 3,
-    joined to its parent, then retired to 1.  Leaf names are the tree's
-    vertex ids as strings.  A forest of two or more trees is refused.
+    joined to its parent, then retired to 1.  A forest is the union of
+    its trees, ``root``'s first and the others by smallest vertex, each
+    rooted as :func:`root_forest` roots it.  Leaf names are the forest's
+    vertex ids as strings.  A graph with a cycle raises ValueError.
     """
-    # n - 1 edges and no cycle (root_forest raises on one) make a tree
-    if len(tree.edges) != tree.n - 1:
-        raise ValueError("input graph is not a tree")
-    parent, order, _ = root_forest(tree, root)
+    parent, order, roots = root_forest(tree, root)
     if tree.n == 1:
         return Leaf(1, str(root))
 
@@ -737,4 +737,4 @@ def tree_expression(tree: Graph, root: int = 0) -> KExpr:
             if parent[w] == v:
                 acc = Rho(3, 1, Eta(2, 3, Union(acc, Rho(2, 3, built.pop(w)))))
         built[v] = acc
-    return built[root]
+    return reduce(Union, map(built.pop, roots))

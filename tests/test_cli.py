@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from latss import cliquewidth
 from latss.cli import _edge_list, document_to_instance, load_instance, main
 from latss.cli import InstanceError
-from latss.graphs import random_tree
+from latss.graphs import random_tree, simulate
 from latss.kexpr import (
     KExprError,
     check_irredundant,
@@ -205,15 +205,21 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "error: input graph has a cycle" in captured.err
 
-    @pytest.mark.parametrize(
-        "edges", [[[0, 1], [1, 2], [0, 2]], [[0, 1]]], ids=["cycle", "forest"]
-    )
-    def test_cwd_without_kexpr_needs_a_tree(self, capsys, tmp_path, edges):
-        doc = {"n": 3, "edges": edges, "thresholds": [1, 1, 1], "lambda": 1, "targets": [0]}
+    def test_cwd_without_kexpr_refuses_a_cycle(self, capsys, tmp_path):
+        doc = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "thresholds": [1, 1, 1],
+               "lambda": 1, "targets": [0]}
         code = main(["solve", "--method", "cwd", "--instance", write(tmp_path, doc)])
         captured = capsys.readouterr()
-        assert code == 2
-        assert "cwd method needs a kexpr in the instance (non-tree graph)" in captured.err
+        assert code == 2 and captured.out == ""
+        assert "needs a kexpr in the instance (graph has a cycle)" in captured.err
+
+    def test_cwd_without_kexpr_solves_a_forest(self, capsys, tmp_path):
+        # the expression is the union of one expression per tree
+        doc = {"n": 3, "edges": [[0, 1]], "thresholds": [1, 1, 1], "lambda": 1,
+               "targets": [0, 2]}
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0 and out["size"] == 2 and 2 in out["target_set"]
 
     def test_variant_assertion(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)
@@ -425,6 +431,35 @@ class TestForestFuzz:
             result = json.loads(out)
             assert len(result["round_sizes"]) == min(lam, n) + 1
             sizes.append(result.get("size"))
+        assert sizes[0] == sizes[1]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(forests(max_n=7), st.data())
+    def test_cwd_agrees_with_tree(self, tmp_path_factory, forest, data):
+        # without a kexpr, cwd solves the union of the trees' expressions
+        n = forest.n
+        doc = {
+            "n": n,
+            "edges": _edge_list(forest),
+            "thresholds": [
+                data.draw(st.integers(0, forest.degree(v) + 2)) for v in range(n)
+            ],
+            "lambda": data.draw(st.integers(0, n)),
+            "targets": sorted(data.draw(st.sets(st.integers(0, n - 1)))),
+        }
+        path = tmp_path_factory.getbasetemp() / "forest.json"
+        path.write_text(json.dumps(doc))
+        sizes = []
+        for method in ("tree", "cwd"):
+            code, out = run_quietly(
+                ["solve", "--method", method, "--instance", str(path)]
+            )
+            assert code == 0
+            chosen = json.loads(out)["target_set"]
+            final = simulate(forest, doc["thresholds"], chosen, doc["lambda"]).final
+            assert set(doc["targets"]) <= final
+            sizes.append(len(chosen))
         assert sizes[0] == sizes[1]
 
 

@@ -4,6 +4,8 @@ import random
 from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latss.cliquewidth import (
     CliqueWidthSolver,
@@ -14,9 +16,10 @@ from latss.cliquewidth import (
     select_targets,
     verify_schedule,
 )
-from latss.graphs import Instance, path_graph, random_tree, verify_solution
+from latss.graphs import Instance, path_graph, random_tree, simulate, verify_solution
 from latss.kexpr import (
     IrredundancyError,
+    check_irredundant,
     evaluate,
     parse,
     path_expression,
@@ -25,7 +28,7 @@ from latss.kexpr import (
 )
 from latss.oracle import brute_decision, brute_min_target, brute_select_targets
 
-from strategies import random_expression
+from strategies import expressions, random_expression
 
 
 def solver_for(text, thresholds, latency):
@@ -410,6 +413,35 @@ class TestStallPruning:
         solver = CliqueWidthSolver(expr, (1, 0, 1), 3)
         assert solver.decide(0, 3)
         assert solver.select(0, 3) == frozenset()
+
+
+class TestThresholdBound:
+    """The root scan fires in round i >= 1 only what round i-1 can reach."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        expressions(max_labels=3, max_leaves=6).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.data(),
+    )
+    def test_never_cuts_a_real_cascade(self, expr, data):
+        graph = evaluate(expr).graph
+        n = graph.n
+        thr = tuple(data.draw(st.integers(0, graph.degree(v) + 1)) for v in range(n))
+        lam = data.draw(st.integers(0, 3))
+        seeds = data.draw(st.sets(st.integers(0, n - 1)))
+        final = simulate(graph, thr, seeds, lam).final
+        assert CliqueWidthSolver(expr, thr, lam).decide(len(seeds), len(final))
+        assert CliqueWidthSolver(expr, thr, lam, final).decide(len(seeds))
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_unreachable_rounds_are_never_queried(self, n):
+        # one seed reaches no threshold-2 vertex of a path, so every root
+        # matrix is cut before the DP sees it
+        solver = CliqueWidthSolver(path_expression(n), (2,) * n, 3, range(n))
+        assert solver.select(1) is None
+        assert solver.queries(solver.root_index) == []
 
 
 class TestWitnesses:

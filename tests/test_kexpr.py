@@ -466,11 +466,26 @@ class TestTreeExpression:
         assert width(expr) <= 3
         assert check_irredundant(expr) == []
 
-    def test_rejects_non_trees(self):
-        with pytest.raises(ValueError, match="not a tree"):
-            tree_expression(Graph(2))
-        with pytest.raises(ValueError, match="not a tree"):
+    def test_rejects_cycles(self):
+        with pytest.raises(ValueError, match="has a cycle"):
             tree_expression(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+        with pytest.raises(ValueError, match="has a cycle"):
+            tree_expression(Graph(5, [(3, 4), (0, 1), (1, 2), (0, 2)]))
+
+    def test_forest_is_the_union_of_its_trees(self):
+        assert tree_expression(Graph(2)) == Union(Leaf(2, "0"), Leaf(2, "1"))
+        forest = Graph(6, [(0, 1), (1, 2), (4, 5)])
+        expr = tree_expression(forest, root=4)
+        assert isinstance(expr, Union)
+        lg = evaluate(expr)
+        mapped = {
+            frozenset((int(lg.names[u]), int(lg.names[v])))
+            for u, v in lg.graph.edges
+        }
+        assert mapped == {frozenset(e) for e in forest.edges}
+        assert sorted(map(int, lg.names)) == list(range(6))
+        assert width(expr) <= 3
+        assert check_irredundant(expr) == []
 
     def test_random_trees_roundtrip(self):
         rng = random.Random(99)
