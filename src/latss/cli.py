@@ -403,16 +403,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             kexpr.path_expression(args.n), args.latency
         )
     elif family == "star":
-        n = args.n
-        if n < 1:
-            raise InstanceError("star needs n >= 1")
-        doc = {
-            "n": n,
-            "edges": [[0, i] for i in range(1, n)],
-            "thresholds": [1] * n,
-            "lambda": args.latency if args.latency is not None else n,
-            "targets": list(range(n)),
-        }
+        doc = _instance_doc_from_expression(
+            kexpr.star_expression(args.n), args.latency
+        )
     elif family == "random-tree":
         doc = _instance_doc_from_expression(
             kexpr.tree_expression(random_tree(args.n, rng)), args.latency

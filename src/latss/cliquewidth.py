@@ -23,9 +23,10 @@ the number of targets per label class beside the class sizes.  Every
 class total lies between those two bounds: ``query`` and ``reconstruct``
 check it on entry, and the union and rename splits and the root scan
 make no other query.  Because the targets never change, one memo serves
-every budget and requirement asked of a solver, and the expression keeps
-its width k.  A satisfiable entry's witness is the child queries that
-proved it; a leaf's is ``(round,)``, the round it fires or None.
+every budget and requirement asked of a solver.  The width k counts the
+labels in use, which the constructor renumbers 1..k in order.  A
+satisfiable entry's witness is the child queries that proved it; a
+leaf's is ``(round,)``, the round it fires or None.
 
 Satisfiability is evaluated top-down over the four node kinds with
 per-node memoization and an explicit stack, so deep expressions do not
@@ -187,6 +188,28 @@ def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
             rest -= 1
 
 
+def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
+    """Relabel a post-order node list of width k to use labels 1..k', in order."""
+    used: set[int] = set()
+    for node in post:
+        if isinstance(node, Leaf):
+            used.add(node.label)
+        elif not isinstance(node, Union):
+            used.update((node.a, node.b))
+        if len(used) == k:  # already dense, mostly seen within a few nodes
+            return post, k
+    rank = {label: i for i, label in enumerate(sorted(used), 1)}
+    new: dict[int, KExpr] = {}  # by id of the node replaced, in post-order
+    for node in post:
+        if isinstance(node, Leaf):
+            new[id(node)] = Leaf(rank[node.label], node.name)
+        elif isinstance(node, Union):
+            new[id(node)] = Union(new[id(node.left)], new[id(node.right)])
+        else:
+            new[id(node)] = type(node)(rank[node.a], rank[node.b], new[id(node.child)])
+    return [*new.values()], len(used)
+
+
 class CliqueWidthSolver:
     """Memoized query evaluator over one expression/thresholds/latency/targets.
 
@@ -205,8 +228,8 @@ class CliqueWidthSolver:
     ) -> None:
         # the checked pass and evaluate's walk, which also finds redundant
         # insertions, are the constructor's only traversals
-        post, self.k = _checked_postorder(expr)
-        self.labeled = evaluate(expr)
+        post, self.k = _dense_labels(*_checked_postorder(expr))
+        self.labeled = evaluate(post[-1])
         if self.labeled.violations:
             raise IrredundancyError(list(self.labeled.violations))
         if latency < 0:

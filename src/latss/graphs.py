@@ -10,10 +10,8 @@ to use from multiple threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from random import Random
 from typing import Iterable, Sequence
 
@@ -79,25 +77,41 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * graph.n
-    comps: list[list[int]] = []
-    for start in range(graph.n):
+def _breadth_first(graph: Graph) -> tuple[list[int | None], list[int], list[int]]:
+    """Breadth-first search of each component from its smallest vertex.
+
+    Returns ``(parent, order, starts)``: the vertex that reached each
+    vertex (None at a start), every vertex as reached, component by
+    component, and the index in ``order`` where each component starts.
+    """
+    n = graph.n
+    adjacency = graph.adjacency
+    parent: list[int | None] = [None] * n
+    seen = bytearray(n)
+    order: list[int] = []
+    starts: list[int] = []
+    head = 0
+    for start in range(n):
         if seen[start]:
             continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in graph.adjacency[v]:
+        seen[start] = 1
+        starts.append(len(order))
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in adjacency[v]:
                 if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+                    seen[w] = 1
+                    parent[w] = v
+                    order.append(w)
+    return parent, order, starts
+
+
+def connected_components(graph: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by smallest member."""
+    _, order, starts = _breadth_first(graph)
+    return [sorted(order[a:b]) for a, b in zip(starts, [*starts[1:], graph.n])]
 
 
 def is_tree(graph: Graph) -> bool:
@@ -112,44 +126,19 @@ def is_forest(graph: Graph) -> bool:
     return len(graph.edges) == graph.n - len(connected_components(graph))
 
 
-def root_forest(
-    graph: Graph, root: int = 0
-) -> tuple[list[int | None], list[int], list[int]]:
-    """Root every component of a forest in one breadth-first pass.
+def root_forest(graph: Graph) -> tuple[list[int | None], list[int], list[int]]:
+    """Root every component of a forest at its smallest vertex.
 
-    The component of ``root`` is rooted at ``root``, every other
-    component at its smallest vertex.  Returns ``(parent, order,
-    roots)``: ``parent[v]`` is v's parent, or None at a root; ``order``
-    lists every vertex children-first (reverse breadth-first order); and
-    ``roots`` has one root per component, ``root`` first and the others
-    by smallest vertex.  Raises ValueError when the graph has a cycle.
+    Returns ``(parent, order, roots)``: ``parent[v]`` is v's parent, or
+    None at a root; ``order`` lists every vertex children-first (reverse
+    breadth-first order); and ``roots`` has one root per component, by
+    smallest vertex.  Raises ValueError when the graph has a cycle.
     """
-    n = graph.n
-    if not 0 <= root < n:
-        raise ValueError(f"root {root} out of range")
-    adjacency = graph.adjacency
-    parent: list[int | None] = [None] * n
-    seen = bytearray(n)
-    order: list[int] = []
-    roots: list[int] = []
-    head = 0
-    for start in chain((root,), range(n)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        roots.append(start)
-        order.append(start)
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    parent[w] = v
-                    order.append(w)
+    parent, order, starts = _breadth_first(graph)
     # a forest has exactly one edge fewer than vertices per component
-    if len(graph.edges) != n - len(roots):
+    if len(graph.edges) != graph.n - len(starts):
         raise ValueError("input graph has a cycle")
+    roots = [order[i] for i in starts]
     order.reverse()
     return parent, order, roots
 

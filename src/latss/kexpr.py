@@ -716,19 +716,21 @@ def cograph_expression(n: int, rng: Random) -> KExpr:
     return items[0]
 
 
-def tree_expression(tree: Graph, root: int = 0) -> KExpr:
+def tree_expression(tree: Graph) -> KExpr:
     """Width-3 irredundant expression evaluating to the given forest.
 
     Standard bottom-up construction: a finished subtree has its root
     labeled 2 and everything else labeled 1; a child is relabeled to 3,
     joined to its parent, then retired to 1.  A forest is the union of
-    its trees, ``root``'s first and the others by smallest vertex, each
-    rooted as :func:`root_forest` roots it.  Leaf names are the forest's
-    vertex ids as strings.  A graph with a cycle raises ValueError.
+    its trees by smallest vertex, each rooted at its smallest vertex.
+    Leaf names are the forest's vertex ids as strings.  A graph with a
+    cycle or with no vertex raises ValueError.
     """
-    parent, order, roots = root_forest(tree, root)
+    if tree.n == 0:
+        raise ValueError("forest needs at least one vertex")
+    parent, order, roots = root_forest(tree)
     if tree.n == 1:
-        return Leaf(1, str(root))
+        return Leaf(1, "0")
 
     built: dict[int, KExpr] = {}
     for v in order:

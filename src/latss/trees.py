@@ -4,16 +4,16 @@ Processes vertices bottom-up (children strictly before parents).  For
 each vertex it tracks when the vertex would activate using its subtree
 alone (``time``), whether a descendant chain depends on this vertex's
 parent (``path`` / ``max_path``), and how many children are active
-early enough to help (``act_count``).  A vertex that must be activated
+early enough to help (``act``).  A vertex that must be activated
 is either self-sufficient, seeded, or delegated to its parent, which is
 then added to the set of vertices that must be activated.
 
 One rule serves every vertex v with threshold t.  ``max_path`` is 1 plus
-the largest child ``path`` and ``act_count`` counts the children active
+the largest child ``path`` and ``act`` counts the children active
 before round ``latency - max_path``; both are 0 without children.  A
 required v is seeded when ``max_path == latency``, when
-``act_count <= t - 2``, or when ``act_count == t - 1`` at a root;
-otherwise, at ``act_count == t - 1``, it is delegated to its parent.
+``act <= t - 2``, or when ``act == t - 1`` at a root; otherwise, at
+``act == t - 1``, it is delegated to its parent.
 Latency 0 needs no case of its own (``max_path == latency`` seeds every
 target), nor do childless vertices (t = 1 delegates, a larger t seeds).
 
@@ -28,10 +28,9 @@ vertices with threshold 0 self-activate at round 1; both extensions are
 validated against brute force in the test suite rather than assumed.
 
 Forests are accepted.  One breadth-first pass (:func:`~latss.graphs.root_forest`)
-roots every component, the requested root's component at that root and
-every other at its smallest vertex, and rejects a graph with a cycle.
-Components never interact, so one children-first sweep over all of them
-solves each independently.
+roots every component at its smallest vertex and rejects a graph with a
+cycle.  Components never interact, so one children-first sweep over all
+of them solves each independently.
 """
 
 from __future__ import annotations
@@ -86,10 +85,7 @@ class TreeSolveResult:
     time: tuple[int, ...]
     path: tuple[int, ...]
     max_path: tuple[int, ...]
-    act_count: tuple[int, ...]
     required: frozenset[int]  # targets plus every vertex delegated to
-    roots: tuple[int, ...]  # one root per component
-    latency: int
 
 
 def solve_detailed(
@@ -97,16 +93,14 @@ def solve_detailed(
     thresholds: Sequence[int],
     latency: int,
     targets: Iterable[int],
-    root: int = 0,
 ) -> TreeSolveResult:
     """Minimum seed set activating every target within the latency bound.
 
-    Accepts forests: components are solved independently (the requested
-    root applies to its own component, others are rooted at their
-    smallest vertex).  Raises ValueError on a graph with a cycle.
+    Accepts forests: components are solved independently, each rooted
+    at its smallest vertex.  Raises ValueError on a graph with a cycle.
     """
     n = tree.n
-    parent, order, roots = root_forest(tree, root)
+    parent, order, _ = root_forest(tree)
     if latency < 0:
         raise ValueError("latency must be non-negative")
     target_set = set(targets)
@@ -119,7 +113,6 @@ def solve_detailed(
     time = [inf] * n
     path = [-1] * n
     max_path = [0] * n
-    act_count = [0] * n
     seeds: set[int] = set()
     required = set(target_set)
 
@@ -132,7 +125,6 @@ def solve_detailed(
             mp = 1 + max(path[u] for u in kids)
             act = sum(1 for u in kids if time[u] < latency - mp)
             max_path[v] = mp
-            act_count[v] = act
         if t == 0:
             time[v] = 1
         elif t <= len(kids):
@@ -155,10 +147,7 @@ def solve_detailed(
         tuple(time),
         tuple(path),
         tuple(max_path),
-        tuple(act_count),
         frozenset(required),
-        tuple(roots),
-        latency,
     )
 
 
@@ -167,9 +156,8 @@ def solve(
     thresholds: Sequence[int],
     latency: int,
     targets: Iterable[int],
-    root: int = 0,
 ) -> frozenset[int]:
-    return solve_detailed(tree, thresholds, latency, targets, root).seeds
+    return solve_detailed(tree, thresholds, latency, targets).seeds
 
 
 @dataclass(frozen=True)
@@ -195,11 +183,10 @@ def audit(
     latency: int,
     targets: Iterable[int],
     seeds: Iterable[int],
-    root: int = 0,
 ) -> TreeAudit:
     """Recompute per-vertex state from scratch via subtree cascades."""
     n = tree.n
-    parent, order, _ = root_forest(tree, root)
+    parent, order, _ = root_forest(tree)
     thr = normalize_thresholds(tree, thresholds)
     target_set = frozenset(targets)
     seed_set = frozenset(seeds)

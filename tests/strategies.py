@@ -117,6 +117,14 @@ def random_expression(rng: random.Random, max_vertices: int = 6, k: int = 3):
             continue
 
 
+def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
+    """The graph with its vertex ids shuffled, and the old id of each new one."""
+    old = list(range(graph.n))
+    rng.shuffle(old)
+    new = {v: i for i, v in enumerate(old)}
+    return Graph(graph.n, [(new[u], new[v]) for u, v in graph.edges]), old
+
+
 def tree_corpus(
     count: int,
     seed: int,

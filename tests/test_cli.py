@@ -315,6 +315,19 @@ class TestSolveCommand:
         code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
         assert code == 0 and out["target_set"] == [0]
 
+    @pytest.mark.parametrize("label", [3, 30_000, 10**30])
+    def test_width_counts_the_labels_in_use(self, capsys, tmp_path, label):
+        # a 3-vertex path on labels 1, 2 and L: a width of L would size every
+        # query by L, and at 10**30 overflow
+        text = f"eta({label},2, U({label}(c), eta(2,1, U(2(b), 1(a)))))"
+        doc = {"n": 3, "edges": [[0, 1], [1, 2]], "thresholds": [1, 1, 1],
+               "lambda": 2, "targets": [0, 1, 2], "kexpr": text}
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0
+        assert (out["target_set"], out["round_sizes"]) == ([0], [1, 2, 3])
+        assert cliquewidth.CliqueWidthSolver(parse(text), (1, 1, 1), 2).k == 3
+
     def test_internal_error_exits_three(self, capsys, tmp_path, monkeypatch):
         def broken(self, *args, **kwargs):
             raise RuntimeError("injected")
@@ -622,10 +635,7 @@ class TestGenCommand:
     def test_generated_documents_load_and_solve(self, capsys, tmp_path, family):
         code, doc = run(capsys, ["gen", family, "--n", "6", "--seed", "2"])
         assert code == 0 and doc["n"] == 6
-        if family == "star":
-            assert "kexpr" not in doc
-        else:
-            assert "kexpr" in doc
+        assert "kexpr" in doc
         path = write(tmp_path, doc, name=f"{family}.json")
         instance, expr = load_instance(path)
         method = "tree" if family != "cograph" else "brute"
@@ -670,7 +680,7 @@ class TestEdgeLists:
         code, doc = run(capsys, ["kexpr", "eval", "--expr", text])
         assert code == 0 and doc["edges"] == []
 
-    @pytest.mark.parametrize("family", ["path", "random-tree", "cograph"])
+    @pytest.mark.parametrize("family", ["path", "star", "random-tree", "cograph"])
     def test_gen(self, capsys, family):
         edgeless = 0
         for n in (1, 2, 3, 9):

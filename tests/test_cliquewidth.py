@@ -18,9 +18,14 @@ from latss.cliquewidth import (
 )
 from latss.graphs import Instance, path_graph, random_tree, simulate, verify_solution
 from latss.kexpr import (
+    Eta,
     IrredundancyError,
+    Leaf,
+    Rho,
+    Union,
     check_irredundant,
     evaluate,
+    fold,
     parse,
     path_expression,
     star_expression,
@@ -28,7 +33,7 @@ from latss.kexpr import (
 )
 from latss.oracle import brute_decision, brute_min_target, brute_select_targets
 
-from strategies import expressions, random_expression
+from strategies import expressions, random_expression, relabeled
 
 
 def solver_for(text, thresholds, latency):
@@ -281,7 +286,7 @@ class TestDecideSelect:
         for i in range(125):
             if i < 25:
                 n = rng.randint(1, 5)
-                expr = tree_expression(random_tree(n, rng), root=rng.randrange(n))
+                expr = tree_expression(relabeled(random_tree(n, rng), rng)[0])
             else:
                 expr = random_expression(rng, max_vertices=7, k=4)
             lg = evaluate(expr)
@@ -300,6 +305,29 @@ class TestDecideSelect:
                         )
                         assert verify_solution(inst, chosen)
                         assert len(chosen) == len(witness)
+
+
+    def test_spread_labels_solve_as_dense(self):
+        # label l becomes 10**l: the solver renumbers the labels in use 1..k
+        rng = random.Random(31)
+        for _ in range(60):
+            expr = random_expression(rng, max_vertices=6, k=3)
+            spread = fold(
+                expr,
+                lambda leaf: Leaf(10**leaf.label, leaf.name),
+                lambda _, left, right: Union(left, right),
+                lambda node, child: Eta(10**node.a, 10**node.b, child),
+                lambda node, child: Rho(10**node.a, 10**node.b, child),
+            )
+            graph = evaluate(expr).graph
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(graph.n))
+            lam = rng.randint(0, 2)
+            dense = CliqueWidthSolver(expr, thr, lam)
+            sparse = CliqueWidthSolver(spread, thr, lam)
+            assert sparse.k == dense.k <= 3
+            assert sparse.labeled == dense.labeled
+            for req in range(graph.n + 1):
+                assert sparse.select(graph.n, req) == dense.select(graph.n, req)
 
 
 class TestTargetVariant:

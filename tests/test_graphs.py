@@ -18,7 +18,7 @@ from latss.graphs import (
 )
 from latss.oracle import cascade, neighbor_masks
 
-from strategies import cascade_instances, graphs
+from strategies import cascade_instances, forests, graphs
 
 
 class TestGraph:
@@ -68,22 +68,31 @@ class TestRootForest:
             if up is not None:
                 assert position[v] < position[up]
 
-    def test_root_roots_its_own_component_only(self):
-        forest = Graph(7, [(0, 3), (2, 4), (4, 5)])
-        parent, _, roots = root_forest(forest, root=5)
-        assert roots == [5, 0, 1, 6]
-        assert parent == [None, None, 4, 0, 5, None, None]
-
     def test_cycle_in_any_component_raises(self):
         graph = Graph(6, [(0, 1), (2, 3), (3, 4), (2, 4)])
         with pytest.raises(ValueError, match="cycle"):
             root_forest(graph)
-        with pytest.raises(ValueError, match="cycle"):
-            root_forest(graph, root=5)
 
-    def test_root_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            root_forest(Graph(2), 2)
+    @settings(max_examples=200)
+    @given(graphs() | forests())
+    def test_one_search_splits_and_roots(self, graph):
+        comps = connected_components(graph)
+        assert sorted(v for comp in comps for v in comp) == list(range(graph.n))
+        assert all(comp == sorted(comp) for comp in comps)
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+        if not is_forest(graph):
+            with pytest.raises(ValueError, match="cycle"):
+                root_forest(graph)
+            return
+        parent, order, roots = root_forest(graph)
+        assert roots == [comp[0] for comp in comps]
+        position = {v: i for i, v in enumerate(order)}
+        assert sorted(position) == list(range(graph.n))
+        for v, up in enumerate(parent):
+            assert (up is None) == (v in roots)
+            if up is not None:
+                assert (min(v, up), max(v, up)) in graph.edges
+                assert position[v] < position[up]
 
 
 class TestNormalizeThresholds:

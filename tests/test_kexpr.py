@@ -35,7 +35,7 @@ from latss.kexpr import (
     width,
 )
 
-from strategies import expressions
+from strategies import expressions, relabeled
 
 # width-3 construction of the path u-v-x-y-z
 P5_TEXT = (
@@ -472,10 +472,14 @@ class TestTreeExpression:
         with pytest.raises(ValueError, match="has a cycle"):
             tree_expression(Graph(5, [(3, 4), (0, 1), (1, 2), (0, 2)]))
 
+    def test_empty_graph_raises(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            tree_expression(Graph(0))
+
     def test_forest_is_the_union_of_its_trees(self):
         assert tree_expression(Graph(2)) == Union(Leaf(2, "0"), Leaf(2, "1"))
         forest = Graph(6, [(0, 1), (1, 2), (4, 5)])
-        expr = tree_expression(forest, root=4)
+        expr = tree_expression(forest)
         assert isinstance(expr, Union)
         lg = evaluate(expr)
         mapped = {
@@ -491,8 +495,8 @@ class TestTreeExpression:
         rng = random.Random(99)
         for _ in range(40):
             n = rng.randint(1, 12)
-            tree = random_tree(n, rng)
-            expr = tree_expression(tree, root=rng.randrange(n))
+            tree, _ = relabeled(random_tree(n, rng), rng)
+            expr = tree_expression(tree)
             lg = evaluate(expr)
             mapped = {
                 frozenset((int(lg.names[u]), int(lg.names[v])))

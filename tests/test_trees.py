@@ -22,34 +22,32 @@ from latss.trees import (
     solve_detailed,
 )
 
-from strategies import trees
+from strategies import relabeled, trees
 
 
 class TestRootAndOrder:
     """Rooting through :func:`latss.graphs.root_forest`."""
 
     def test_single_vertex(self):
-        assert root_forest(Graph(1), 0) == ([None], [0], [0])
+        assert root_forest(Graph(1)) == ([None], [0], [0])
 
     def test_children_processed_first(self):
-        parent, order, roots = root_forest(path_graph(3), 1)
-        assert order.index(0) < order.index(1)
-        assert order.index(2) < order.index(1)
-        assert parent == [1, None, 1]
-        assert roots == [1]
+        parent, order, roots = root_forest(path_graph(3))
+        assert order.index(2) < order.index(1) < order.index(0)
+        assert parent == [None, 0, 1]
+        assert roots == [0]
 
     def test_rejects_non_trees(self):
         # two isolated vertices are a forest of two trees; a cycle is refused
-        assert root_forest(Graph(2), 0) == ([None, None], [1, 0], [0, 1])
+        assert root_forest(Graph(2)) == ([None, None], [1, 0], [0, 1])
         with pytest.raises(ValueError, match="cycle"):
-            root_forest(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
+            root_forest(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
     @settings(max_examples=100)
-    @given(trees(max_n=60), st.integers(0, 59))
-    def test_every_child_precedes_its_parent(self, tree, root_pick):
-        root = root_pick % tree.n
-        parent, order, roots = root_forest(tree, root)
-        assert roots == [root]
+    @given(trees(max_n=60))
+    def test_every_child_precedes_its_parent(self, tree):
+        parent, order, roots = root_forest(tree)
+        assert roots == [0]
         position = {v: i for i, v in enumerate(order)}
         for v, up in enumerate(parent):
             if up is not None:
@@ -148,17 +146,21 @@ class TestOptimality:
 
     def test_no_childless_vertex_is_seeded(self):
         for tree, thr, lam, targets in _standard_corpus(100, seed=27):
-            parent, _, _ = root_forest(tree, 0)
-            chosen = solve(tree, thr, lam, targets, root=0)
+            parent, _, _ = root_forest(tree)
+            chosen = solve(tree, thr, lam, targets)
             for v in chosen:
                 assert v in parent
 
     def test_size_independent_of_root(self):
+        # a tree is rooted at its smallest vertex, so new vertex ids move the root
+        rng = random.Random(37)
         for tree, thr, lam, targets in _standard_corpus(40, seed=37, n_hi=8):
-            sizes = {
-                len(solve(tree, thr, lam, targets, root=r))
-                for r in range(tree.n)
-            }
+            sizes = {len(solve(tree, thr, lam, targets))}
+            for _ in range(tree.n):
+                moved, old = relabeled(tree, rng)
+                moved_targets = {i for i, v in enumerate(old) if v in targets}
+                moved_thr = [thr[v] for v in old]
+                sizes.add(len(solve(moved, moved_thr, lam, moved_targets)))
             assert len(sizes) == 1
 
 
