@@ -438,12 +438,8 @@ class CliqueWidthSolver:
             counts, caps[left], caps[right], needs[left], needs[right]
         ):
             total = sum(row)
-            options = self._class_splits(
-                row, max(need_l, total - cap_r), min(cap_l, total - need_r)
-            )
-            if not options:
-                return
-            per_class.append(options)
+            lo, hi = max(need_l, total - cap_r), min(cap_l, total - need_r)
+            per_class.append(self._class_splits(row, lo, hi))
         for combo in product(*per_class):
             yield tuple(part for part, _ in combo), tuple(rest for _, rest in combo)
 

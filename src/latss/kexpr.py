@@ -23,10 +23,10 @@ plain strings a window of text at a time, not one by one as it needs
 them, checks each construct once, token by token in reading order, and
 works out a line and column only when it raises.  :func:`evaluate`
 builds its graph without re-checking the edges its own walk produced.
-:func:`evaluate`, :func:`check_irredundant` and
-:func:`normalize_irredundant` are loops over one shared walk that keeps
-the label classes and the path from the root, so each runs in one pass
-over the expression, near-linear in its size plus the edges it produces.
+One walk keeps the label classes and the path from the root and serves
+:func:`evaluate`, :func:`check_irredundant` and :func:`normalize_irredundant`,
+near-linear in the expression size plus the edges it produces; the last
+rebuilds through :func:`fold` only when it drops an insertion.
 :func:`validate` and :func:`width` share one checked post-order pass;
 the clique-width solver builds its node table from that pass's node
 list, so it walks an expression only there and in :func:`evaluate`.
@@ -445,34 +445,39 @@ class LabeledGraph:
     violations: tuple[IrredundancyViolation, ...] = ()
 
 
-def _walk(expr: KExpr):
-    """Post-order walk that keeps the label classes of the subgraph built so far.
+def _evaluate(expr: KExpr):
+    """One post-order walk: leaf names, edge set, root label classes, verdicts.
 
-    Yields ``(node, classes, sides)`` for every node after its children.
-    ``classes`` maps each label of the node's subgraph to its vertex ids,
-    which count leaves in walk order; unions and renames merge the
-    smaller class into the larger, so the whole walk is near-linear in
-    the expression size.  ``sides`` is the walk's own stack: the child
-    index taken at each ancestor of the node, so ``tuple(sides)`` is the
-    node's path from the root.  Both are live and change on the next
-    step.
+    Keeps the label classes of the subgraph built so far: each label maps
+    to its vertex ids, which count leaves in walk order; unions and
+    renames merge the smaller class into the larger, so the walk is
+    near-linear in the expression size plus the edges it produces.
+    ``sides`` is the child index taken at each ancestor of the node, so
+    ``tuple(sides)`` is the node's path from the root.
+
+    Besides the violations it returns ``idle``, the post-order ranks
+    among the etas of those that add no edge, and ``partial``, the
+    ``(path, a, b)`` of the first eta that adds some edges while
+    re-covering others, or ``None``.
     """
+    names: list[str] = []
+    edges: set[tuple[int, int]] = set()
+    violations: list[IrredundancyViolation] = []
+    idle: set[int] = set()
+    partial = None
     vals: list[dict[int, list[int]]] = []  # classes of the finished subtrees
     above: list[KExpr] = []  # the node's ancestors, root first
     sides: list[int] = []
-    vid = 0
+    etas = 0
     node = expr
     while True:
         while not isinstance(node, Leaf):
             above.append(node)
             sides.append(0)
             node = node.left if isinstance(node, Union) else node.child
-        vals.append({node.label: [vid]})
-        vid += 1
-        yield node, vals[-1], sides
-        while True:
-            if not above:
-                return
+        vals.append({node.label: [len(names)]})
+        names.append(node.name)
+        while above:
             node = above[-1]
             if isinstance(node, Union) and not sides[-1]:
                 # the left operand is done: walk the right one next
@@ -500,32 +505,32 @@ def _walk(expr: KExpr):
                         top[node.b].extend(ids)
                     else:
                         top[node.b] = ids
-            yield node, vals[-1], sides
-
-
-def _evaluate(expr: KExpr):
-    """One walk: leaf names, edge set, root label classes, violations."""
-    names: list[str] = []
-    edges: set[tuple[int, int]] = set()
-    violations: list[IrredundancyViolation] = []
-    for node, classes, sides in _walk(expr):
-        if isinstance(node, Leaf):
-            names.append(node.name)
-        elif isinstance(node, Eta):
-            offending: tuple[str, str] | None = None
-            for u in classes.get(node.a, ()):
-                for v in classes.get(node.b, ()):
-                    key = (u, v) if u < v else (v, u)
-                    if key in edges:
-                        if offending is None:
-                            offending = (names[u], names[v])
-                    else:
-                        edges.add(key)
-            if offending is not None:
-                violations.append(
-                    IrredundancyViolation(tuple(sides), node.a, node.b, offending)
-                )
-    return names, edges, classes, violations
+            else:
+                a, b = node.a, node.b
+                if a == b:
+                    raise KExprError(f"eta needs two distinct labels, got {a} twice")
+                top = vals[-1]
+                before = len(edges)
+                offending: tuple[str, str] | None = None
+                for u in top.get(a, ()):
+                    for v in top.get(b, ()):
+                        key = (u, v) if u < v else (v, u)
+                        if key in edges:
+                            if offending is None:
+                                offending = (names[u], names[v])
+                        else:
+                            edges.add(key)
+                added = len(edges) != before
+                if not added:
+                    idle.add(etas)
+                etas += 1
+                if offending is not None:
+                    path = tuple(sides)
+                    violations.append(IrredundancyViolation(path, a, b, offending))
+                    if added and partial is None:
+                        partial = (path, a, b)
+        else:  # the root is done
+            return names, edges, vals[0], violations, idle, partial
 
 
 def evaluate(expr: KExpr) -> LabeledGraph:
@@ -535,7 +540,7 @@ def evaluate(expr: KExpr) -> LabeledGraph:
     near-linear in the expression size plus the number of produced
     edges.
     """
-    names, edges, classes, violations = _evaluate(expr)
+    names, edges, classes, violations, _, _ = _evaluate(expr)
     labels = [0] * len(names)
     for lab, ids in classes.items():
         for v in ids:
@@ -562,40 +567,30 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
 
     Raises :class:`PartialRedundancyError` when an insertion would add
     some new edges while re-covering existing ones; such expressions
-    must be rewritten by the caller.
+    must be rewritten by the caller.  Returns ``expr`` itself when no
+    insertion is dropped; otherwise rebuilds only the changed spine.
     """
-    edges: set[tuple[int, int]] = set()
-    built: list[KExpr] = []
-    for node, classes, sides in _walk(expr):
-        if isinstance(node, Leaf):
-            built.append(node)
-        elif isinstance(node, Union):
-            right = built.pop()
-            left = built.pop()
-            same = left is node.left and right is node.right
-            built.append(node if same else Union(left, right))
-        elif isinstance(node, Eta):
-            child = built.pop()
-            fresh: list[tuple[int, int]] = []
-            covered = False
-            for u in classes.get(node.a, ()):
-                for v in classes.get(node.b, ()):
-                    key = (u, v) if u < v else (v, u)
-                    if key in edges:
-                        covered = True
-                    else:
-                        fresh.append(key)
-            if not fresh:
-                built.append(child)  # no-op eta: delete
-                continue
-            if covered:
-                raise PartialRedundancyError(tuple(sides), node.a, node.b)
-            edges.update(fresh)
-            built.append(node if child is node.child else Eta(node.a, node.b, child))
-        else:  # Rho
-            child = built.pop()
-            built.append(node if child is node.child else Rho(node.a, node.b, child))
-    return built[0]
+    *_, idle, partial = _evaluate(expr)
+    if partial is not None:
+        raise PartialRedundancyError(*partial)
+    if not idle:
+        return expr
+    etas = -1  # fold visits the etas in the walk's post-order
+
+    def on_eta(node, child):
+        nonlocal etas
+        etas += 1
+        if etas in idle:
+            return child
+        return node if child is node.child else Eta(node.a, node.b, child)
+
+    return fold(
+        expr,
+        lambda n: n,
+        lambda n, l, r: n if l is n.left and r is n.right else Union(l, r),
+        on_eta,
+        lambda n, c: n if c is n.child else Rho(n.a, n.b, c),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from latss.cli import InstanceError
 from latss.graphs import random_tree, simulate
 from latss.kexpr import (
     KExprError,
+    Leaf,
+    Union,
     check_irredundant,
     cograph_expression,
     evaluate,
@@ -307,13 +309,20 @@ class TestSolveCommand:
         assert out["round_sizes"] == [0, 0]
 
     def test_wide_label_solves(self, capsys, tmp_path):
-        # one vertex whose label is beyond the interpreter's recursion limit:
-        # the root scan steps through seed rows without recursing per label
-        doc = {"n": 1, "edges": [], "thresholds": [1], "lambda": 1,
-               "targets": [0], "kexpr": "1500(a)"}
+        # more labels in use than the interpreter's recursion limit: the root
+        # scan steps through 1,001 label classes without recursing per class.
+        # One target only: with every vertex a target, each smaller seed row
+        # is refused one by one and the solve takes minutes.
+        n = 1001
+        expr = Leaf(n, str(n - 1))
+        for v in range(n - 2, -1, -1):
+            expr = Union(Leaf(v + 1, str(v)), expr)
+        assert cliquewidth.CliqueWidthSolver(expr, (1,) * n, 1).k == n
+        doc = {"n": n, "edges": [], "thresholds": [1] * n, "lambda": 1,
+               "targets": [n - 1], "kexpr": unparse(expr)}
         path = write(tmp_path, doc)
         code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
-        assert code == 0 and out["target_set"] == [0]
+        assert code == 0 and out["target_set"] == [n - 1]
 
     @pytest.mark.parametrize("label", [3, 30_000, 10**30])
     def test_width_counts_the_labels_in_use(self, capsys, tmp_path, label):
@@ -613,6 +622,19 @@ class TestKexprCommand:
         path = write(tmp_path, doc)
         code, out = run(capsys, ["kexpr", "parse", "--instance", path])
         assert code == 0 and out["vertices"] == 2
+
+    def test_file_source(self, tmp_path):
+        text = "eta(2,1,\n  U(2(v), 1(u)))\n"
+        path = tmp_path / "expr.txt"
+        path.write_text(text)
+        from_file = run_captured(["kexpr", "parse", "--file", str(path)])
+        assert from_file == run_captured(["kexpr", "parse", "--expr", text])
+        assert from_file[0] == 0 and json.loads(from_file[1])["vertices"] == 2
+
+    def test_missing_file_exits_two(self, tmp_path):
+        missing = str(tmp_path / "absent.txt")
+        code, out, err = run_captured(["kexpr", "parse", "--file", missing])
+        assert (code, out) == (2, "") and "cannot read" in err
 
     def test_instance_kexpr_of_wrong_type_exits_two(self, capsys, tmp_path):
         path = write(tmp_path, {"kexpr": 5})

@@ -317,6 +317,14 @@ class TestEvaluate:
         lg = evaluate(parse("U(U(1(a), 1(b)), 1(c))"))
         assert lg.names == ("a", "b", "c")
 
+    @pytest.mark.parametrize("walk", [evaluate, check_irredundant, normalize_irredundant])
+    def test_eta_with_equal_labels_is_refused(self, walk):
+        # a programmatic tree the parser refuses: the walk must not hand
+        # the graph self-loops (0, 0) and (1, 1)
+        expr = Eta(1, 1, Union(Leaf(1, "a"), Leaf(1, "b")))
+        with pytest.raises(KExprError, match="eta needs two distinct labels"):
+            walk(expr)
+
     @settings(max_examples=300)
     @given(expressions(max_leaves=12))
     def test_graph_matches_the_checking_constructor(self, expr):
@@ -391,8 +399,9 @@ class TestNormalizeIrredundant:
             2,
             Union(Eta(1, 2, Union(Leaf(1, "u"), Leaf(2, "v"))), Leaf(2, "w")),
         )
-        with pytest.raises(PartialRedundancyError):
+        with pytest.raises(PartialRedundancyError) as err:
             normalize_irredundant(expr)
+        assert (err.value.path, err.value.a, err.value.b) == ((), 1, 2)
 
     @settings(max_examples=150)
     @given(expressions())
