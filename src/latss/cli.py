@@ -23,6 +23,7 @@ compact JSON document and a newline on stdout.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -138,8 +139,11 @@ def _emit(doc: dict, output: str | None) -> None:
     # no indent: an indent makes json fall back to its pure-Python encoder
     text = json.dumps(doc, separators=(",", ":"))
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InstanceError(f"cannot write {output}: {exc}") from exc
     else:
         print(text)
 
@@ -470,6 +474,11 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    # a command builds only acyclic objects (JSON documents, graphs,
+    # expression trees), so the cyclic collector would only rescan them
+    # as they pile up; a caller's own setting is restored on every exit
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _DISPATCH[args.cmd](args)
     except (InstanceError, kexpr.KExprError, ValueError) as exc:
@@ -479,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a fault of the program, never to be read as "infeasible"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

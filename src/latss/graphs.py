@@ -164,9 +164,9 @@ def _check_thresholds(graph: Graph, thresholds: Sequence[int]) -> None:
         raise ValueError(
             f"expected {graph.n} thresholds, got {len(thresholds)}"
         )
-    for v, t in enumerate(thresholds):
-        if t < 0:
-            raise ValueError(f"negative threshold at vertex {v}")
+    if min(thresholds, default=0) < 0:
+        v = next(v for v, t in enumerate(thresholds) if t < 0)
+        raise ValueError(f"negative threshold at vertex {v}")
 
 
 def normalize_thresholds(
@@ -180,7 +180,7 @@ def normalize_thresholds(
     """
     _check_thresholds(graph, thresholds)
     return tuple(
-        min(t, graph.degree(v) + 1) for v, t in enumerate(thresholds)
+        map(min, thresholds, [len(nb) + 1 for nb in graph.adjacency])
     )
 
 

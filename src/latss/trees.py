@@ -60,6 +60,10 @@ def select_tth_smallest(values: Iterable[int], t: int) -> int:
     vals = list(values)
     if not 1 <= t <= len(vals):
         raise ValueError(f"t={t} out of range for {len(vals)} values")
+    if t == 1:
+        return min(vals)
+    if t == len(vals):
+        return max(vals)
     k = t - 1
     while True:
         if len(vals) == 1:
@@ -116,21 +120,24 @@ def solve_detailed(
     seeds: set[int] = set()
     required = set(target_set)
 
+    adjacency = tree.adjacency
     for v in order:
         up = parent[v]
-        kids = [w for w in tree.adjacency[v] if w != up]
+        kids = list(adjacency[v])
+        if up is not None:
+            kids.remove(up)
         t = thr[v]
         mp = act = 0
         if kids:
-            mp = 1 + max(path[u] for u in kids)
-            act = sum(1 for u in kids if time[u] < latency - mp)
+            times = [time[u] for u in kids]
+            mp = 1 + max([path[u] for u in kids])
+            cut = latency - mp
+            act = len([x for x in times if x < cut])
             max_path[v] = mp
         if t == 0:
             time[v] = 1
-        elif t <= len(kids):
-            time[v] = min(
-                inf, 1 + select_tth_smallest([time[u] for u in kids], t)
-            )
+        elif t <= len(kids):  # so kids, and with them times, are set
+            time[v] = min(inf, 1 + select_tth_smallest(times, t))
 
         if v not in required:
             continue

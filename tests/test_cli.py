@@ -1,6 +1,7 @@
 """CLI dispatch, instance document validation, exit codes, output schema."""
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latss import cliquewidth
+from latss import cliquewidth, trees
 from latss.cli import _edge_list, document_to_instance, load_instance, main
 from latss.cli import InstanceError
 from latss.graphs import random_tree, simulate
@@ -367,6 +368,84 @@ class TestSolveCommand:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["command"] == "solve" and doc["solver"] == "tree"
+
+
+def _command(name, tmp_path):
+    """The argv of one valid run of each command."""
+    path = write(tmp_path, P3_DOC)
+    return {
+        "gen": ["gen", "path", "--n", "4"],
+        "solve": ["solve", "--method", "tree", "--instance", path],
+        "simulate": ["simulate", "--instance", path, "--seed", "1"],
+        "kexpr": ["kexpr", "parse", "--expr", "eta(2,1, U(2(v), 1(u)))"],
+    }[name]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["gen", "solve", "simulate", "kexpr"])
+    def test_exits_two(self, tmp_path, command):
+        # a missing directory, and a directory as the file
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            argv = _command(command, tmp_path) + ["--output", str(target)]
+            code, out, err = run_captured(argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _infeasible_budget(tmp_path):
+    doc = dict(P3_DOC, budget=0)  # no seed activates a vertex of threshold >= 1
+    return ["solve", "--method", "brute", "--instance", write(tmp_path, doc)]
+
+
+class TestCollectorState:
+    RUNS = {
+        0: lambda tmp_path: _command("gen", tmp_path),
+        1: _infeasible_budget,
+        2: lambda tmp_path: ["kexpr", "parse", "--expr", "1("],
+        3: lambda tmp_path: ["solve", "--method", "cwd", "--instance",
+                             write(tmp_path, P3_DOC)],
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code", sorted(RUNS))
+    def test_left_as_the_caller_set_it(
+        self, tmp_path, monkeypatch, collector, code, enabled
+    ):
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cliquewidth.CliqueWidthSolver, "select", broken)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert run_captured(self.RUNS[code](tmp_path))[0] == code
+        assert gc.isenabled() is enabled
+
+    def test_paused_while_a_command_runs(self, capsys, tmp_path, monkeypatch, collector):
+        seen = []
+        solve = trees.solve
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return solve(*args)
+
+        monkeypatch.setattr(trees, "solve", recording)
+        gc.enable()
+        code, doc = run(capsys, _command("solve", tmp_path))
+        assert code == 0 and doc["target_set"] == [1]
+        assert seen == [False] and gc.isenabled()
 
 
 def _drawn_document(expr, data):

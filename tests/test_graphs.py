@@ -111,6 +111,26 @@ class TestNormalizeThresholds:
             normalize_thresholds(path_graph(3), (1, 1))
 
 
+class TestThresholdMessages:
+    """Every entry point names the first bad vertex, or the count mismatch."""
+
+    CHECKS = {
+        "simulate": lambda g, thr: simulate(g, thr, (), 1),
+        "normalize_thresholds": normalize_thresholds,
+        "Instance": lambda g, thr: Instance(g, thr, 1, targets={0}),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(CHECKS))
+    def test_first_negative_vertex(self, entry):
+        with pytest.raises(ValueError, match="^negative threshold at vertex 1$"):
+            self.CHECKS[entry](path_graph(3), (1, -1, -2))
+
+    @pytest.mark.parametrize("entry", sorted(CHECKS))
+    def test_wrong_length(self, entry):
+        with pytest.raises(ValueError, match="^expected 3 thresholds, got 2$"):
+            self.CHECKS[entry](path_graph(3), (1, 1))
+
+
 class TestSimulate:
     def test_all_seeded_stays_full(self):
         g = star_graph(4)

@@ -64,6 +64,15 @@ class TestSelectTthSmallest:
     def test_duplicates(self):
         assert select_tth_smallest([2, 2, 1, 2], 3) == 2
 
+    @pytest.mark.parametrize(
+        "values, low, high",
+        [([4, -3, 7, -3, 0], -3, 7), ([5, 5, -1, 5], -1, 5), ([-2, -9, -2], -9, -2)],
+    )
+    def test_first_and_last(self, values, low, high):
+        assert select_tth_smallest(values, 1) == low
+        assert select_tth_smallest(values, len(values)) == high
+        assert select_tth_smallest(iter(values), len(values)) == high
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             select_tth_smallest([1, 2], 3)
