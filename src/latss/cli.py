@@ -17,7 +17,8 @@ When ``kexpr`` is present its evaluation must reproduce ``n`` and
 ``edges`` vertex-for-vertex; evaluated vertex ids follow leaf order in
 a depth-first traversal of the expression.  Results are emitted as one
 compact JSON document and a newline on stdout.  Exit codes: 0 success,
-1 infeasible decision (or failed check), 2 input error, 3 internal error.
+1 infeasible decision (or failed check), 2 input error (or an output,
+stdout included, that cannot be written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
+from itertools import accumulate
 from random import Random
 from typing import Any, Sequence
 
@@ -71,9 +74,8 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     n = need("n", int)
     if n < 1:
         raise InstanceError("n must be at least 1")
-    raw_edges = need("edges", list)
-    edges = []
-    for item in raw_edges:
+    edges = need("edges", list)
+    for item in edges:
         if not (
             type(item) is list
             and len(item) == 2
@@ -81,7 +83,6 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
             and type(item[1]) is int
         ):
             raise InstanceError(f"bad edge entry {item!r}")
-        edges.append((item[0], item[1]))
     thresholds = need("thresholds", list)
     if len(thresholds) != n or not all(type(t) is int and t >= 0 for t in thresholds):
         raise InstanceError("thresholds must be n non-negative integers")
@@ -138,14 +139,16 @@ def load_instance(path: str) -> tuple[Instance, kexpr.KExpr | None]:
 def _emit(doc: dict, output: str | None) -> None:
     # no indent: an indent makes json fall back to its pure-Python encoder
     text = json.dumps(doc, separators=(",", ":"))
-    if output:
-        try:
+    try:
+        if output:
             with open(output, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            raise InstanceError(f"cannot write {output}: {exc}") from exc
-    else:
-        print(text)
+        elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise InstanceError("cannot write stdout: it is not open")
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
 def _edge_list(graph: Graph) -> list[list[int]]:
@@ -170,9 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     instance, _ = load_instance(args.instance)
     seed = _csv_ints(args.seed, "seed")
     start = time.perf_counter()
-    trace = simulate(
-        instance.graph, instance.thresholds, seed, instance.latency
-    )
+    trace = simulate(instance.graph, instance.thresholds, seed, instance.latency)
     elapsed = time.perf_counter() - start
     rounds = [sorted(s) for s in trace.rounds]
     _emit(
@@ -209,28 +210,8 @@ def _result_doc(
         trace = simulate(
             instance.graph, instance.thresholds, selection, instance.latency
         )
-        sizes = []
-        total = 0
-        for delta in trace.deltas:
-            total += len(delta)
-            sizes.append(total)
-        doc["round_sizes"] = sizes
+        doc["round_sizes"] = list(accumulate(map(len, trace.deltas)))
     return doc
-
-
-def _tree_for_cwd(instance: Instance) -> tuple[kexpr.KExpr, list[int]]:
-    """Fallback expression when the document carries none but is a forest.
-
-    Also returns the instance id of each expression vertex: leaves are
-    named after instance ids, in an order evaluation may permute.
-    """
-    try:
-        expression = kexpr.tree_expression(instance.graph)
-    except ValueError as exc:
-        raise InstanceError(
-            "cwd method needs a kexpr in the instance (graph has a cycle)"
-        ) from exc
-    return expression, [int(name) for name in kexpr.leaf_names(expression)]
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -241,7 +222,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"instance fields define variant {variant!r}, not {args.variant!r}"
         )
     method = args.method
-    budget = instance.graph.n if instance.budget is None else instance.budget
+    graph, thresholds, latency = instance.graph, instance.thresholds, instance.latency
+    # every variant asks for the fewest seeds within the budget that reach
+    # the requirement and every target: at budget n, a minimum target set
+    budget = graph.n if instance.budget is None else instance.budget
+    requirement = instance.requirement or 0
+    targets = instance.targets or ()
     start = time.perf_counter()
 
     if method == "tree":
@@ -249,51 +235,33 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise InstanceError(
                 "tree method solves the targets-only variant (no budget/alpha)"
             )
-        selection = trees.solve(
-            instance.graph,
-            instance.thresholds,
-            instance.latency,
-            instance.targets,
-        )
+        selection = trees.solve(graph, thresholds, latency, targets)
     elif method == "brute":
-        if variant == "lba":
-            _, selection = oracle.brute_decision(
-                instance.graph,
-                instance.thresholds,
-                instance.latency,
-                budget,
-                instance.requirement,
-            )
-        else:
-            selection = oracle.brute_select_targets(
-                instance.graph,
-                instance.thresholds,
-                instance.latency,
-                budget,
-                instance.targets,
-            )
+        selection = oracle._first_seed(
+            graph, thresholds, latency, budget, targets, requirement
+        )
     else:  # cwd
         if expression is None:
-            expression, to_instance = _tree_for_cwd(instance)
+            # leaves are named after instance ids, in an order evaluation may permute
+            try:
+                expression = kexpr.tree_expression(graph)
+            except ValueError as exc:
+                raise InstanceError(
+                    "cwd method needs a kexpr in the instance (graph has a cycle)"
+                ) from exc
+            order = [int(name) for name in kexpr.leaf_names(expression)]
         else:
             # document_to_instance matched the expression id-for-id
-            to_instance = list(range(instance.graph.n))
-        to_expr = [0] * len(to_instance)
-        for vid, orig in enumerate(to_instance):
-            to_expr[orig] = vid
-        thresholds = tuple(
-            instance.thresholds[to_instance[v]] for v in range(instance.graph.n)
-        )
+            order = range(graph.n)
         solver = cliquewidth.CliqueWidthSolver(
             expression,
-            thresholds,
-            instance.latency,
-            {to_expr[v] for v in instance.targets or ()},
+            [thresholds[v] for v in order],
+            latency,
+            [i for i, v in enumerate(order) if v in targets],
         )
-        # the fewest seeds within the budget: at budget n, a minimum target set
-        selection = solver.select(budget, instance.requirement or 0)
+        selection = solver.select(budget, requirement)
         if selection is not None:
-            selection = frozenset(to_instance[v] for v in selection)
+            selection = frozenset(order[v] for v in selection)
 
     elapsed = time.perf_counter() - start
     _emit(_result_doc(method, variant, selection, instance, elapsed), args.output)
@@ -400,24 +368,15 @@ def _instance_doc_from_expression(
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.latency is not None and args.latency < 0:
         raise ValueError("latency must be non-negative")
-    family = args.family
     rng = Random(args.seed)
-    if family == "path":
-        doc = _instance_doc_from_expression(
-            kexpr.path_expression(args.n), args.latency
-        )
-    elif family == "star":
-        doc = _instance_doc_from_expression(
-            kexpr.star_expression(args.n), args.latency
-        )
-    elif family == "random-tree":
-        doc = _instance_doc_from_expression(
-            kexpr.tree_expression(random_tree(args.n, rng)), args.latency
-        )
-    else:  # cograph
-        doc = _instance_doc_from_expression(
-            kexpr.cograph_expression(args.n, rng), args.latency
-        )
+    # built per call, so each builder is looked up on kexpr when it runs
+    build = {
+        "path": lambda: kexpr.path_expression(args.n),
+        "star": lambda: kexpr.star_expression(args.n),
+        "random-tree": lambda: kexpr.tree_expression(random_tree(args.n, rng)),
+        "cograph": lambda: kexpr.cograph_expression(args.n, rng),
+    }[args.family]
+    doc = _instance_doc_from_expression(build(), args.latency)
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -494,7 +453,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # main reported it; the exit flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

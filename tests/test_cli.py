@@ -4,13 +4,18 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latss import cliquewidth, trees
+import latss
+from latss import cliquewidth, oracle, trees
 from latss.cli import _edge_list, document_to_instance, load_instance, main
 from latss.cli import InstanceError
 from latss.graphs import random_tree, simulate
@@ -71,12 +76,27 @@ class TestDocuments:
         )
         assert instance.graph.n == 1 and expr is None
 
-    def test_edge_out_of_range(self):
-        with pytest.raises(InstanceError, match="out of range"):
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([0], "bad edge entry"),
+            ([0, 1, 2], "bad edge entry"),
+            ("0-1", "bad edge entry"),
+            ({"u": 0}, "bad edge entry"),
+            ([0, True], "bad edge entry"),
+            ([1, 1], "self-loop"),
+            ([0, 5], "out of range"),
+        ],
+        ids=["short", "long", "string", "object", "bool", "self-loop",
+             "out-of-range"],
+    )
+    def test_bad_edge_entry(self, entry, message):
+        # the entry follows a good one: each is checked where it stands
+        with pytest.raises(InstanceError, match=message):
             document_to_instance(
                 {
                     "n": 3,
-                    "edges": [[0, 5]],
+                    "edges": [[0, 1], entry],
                     "thresholds": [1, 1, 1],
                     "lambda": 1,
                     "targets": [0],
@@ -223,6 +243,33 @@ class TestSolveCommand:
         path = write(tmp_path, doc)
         code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
         assert code == 0 and out["size"] == 2 and 2 in out["target_set"]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"budget": 3, "alpha": 5}, {"budget": 2, "targets": [1, 5]},
+         {"targets": [0, 3, 5]}],
+        ids=["lba", "lbA", "lA"],
+    )
+    def test_brute_prints_the_oracle_witness(self, capsys, tmp_path, fields):
+        # each instance has several optima; the oracle's is the
+        # lexicographically first among the fewest seeds
+        doc = dict(n=6, edges=[[v, v + 1] for v in range(5)],
+                   thresholds=[1, 2, 1, 1, 1, 1], **{"lambda": 1}, **fields)
+        instance, _ = document_to_instance(doc)
+        args = instance.graph, instance.thresholds, instance.latency
+        expected = {
+            "lba": lambda: oracle.brute_decision(
+                *args, instance.budget, instance.requirement
+            )[1],
+            "lbA": lambda: oracle.brute_select_targets(
+                *args, instance.budget, instance.targets
+            ),
+            "lA": lambda: oracle.brute_min_target(*args, instance.targets),
+        }[instance.variant]()
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "brute", "--instance", path])
+        assert code == 0 and out["variant"] == instance.variant
+        assert out["target_set"] == sorted(expected)
 
     def test_variant_assertion(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)
@@ -390,6 +437,42 @@ class TestUnwritableOutput:
             code, out, err = run_captured(argv)
             assert code == 2 and out == ""
             assert err.startswith(f"error: cannot write {target}: ")
+
+
+class TestClosedStdout:
+    """A stdout that no one reads, or none at all, exits 2 with a message."""
+
+    @staticmethod
+    def gen_path(n, **popen):
+        src = Path(latss.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout buffered as usual
+        proc = subprocess.run(
+            [sys.executable, "-m", "latss.cli", "gen", "path", "--n", str(n)],
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+            **popen,
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("error: cannot write stdout: ")
+        assert "internal error" not in err and "Exception ignored" not in err
+
+    # a document that fits the stdout buffer fails at the flush, a larger
+    # one at the write itself
+    @pytest.mark.parametrize("n", [5, 2000])
+    def test_reader_gone(self, n):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            self.gen_path(n, stdout=write_end)
+        finally:
+            os.close(write_end)
+
+    def test_no_stdout(self):
+        # with fd 1 closed at start-up, sys.stdout is None
+        self.gen_path(5, preexec_fn=lambda: os.close(1))
 
 
 @pytest.fixture
