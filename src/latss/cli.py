@@ -37,6 +37,8 @@ from . import cliquewidth, kexpr, oracle, trees
 from .graphs import (
     Graph,
     Instance,
+    _check_latency,
+    _check_thresholds,
     is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
     is_tree,  # unused here; perfbench/tracing.py rebinds it by this name
     random_tree,
@@ -75,17 +77,7 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     if n < 1:
         raise InstanceError("n must be at least 1")
     edges = need("edges", list)
-    for item in edges:
-        if not (
-            type(item) is list
-            and len(item) == 2
-            and type(item[0]) is int
-            and type(item[1]) is int
-        ):
-            raise InstanceError(f"bad edge entry {item!r}")
     thresholds = need("thresholds", list)
-    if len(thresholds) != n or not all(type(t) is int and t >= 0 for t in thresholds):
-        raise InstanceError("thresholds must be n non-negative integers")
     # each round before a stall activates a vertex: rounds past n add nothing
     latency = min(need("lambda", int), n)
 
@@ -95,12 +87,11 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     if "alpha" in doc:
         optional["requirement"] = need("alpha", int)
     if "targets" in doc:
-        targets = need("targets", list)
-        if not all(type(v) is int for v in targets):
-            raise InstanceError("targets must be a list of vertex ids")
-        optional["targets"] = frozenset(targets)
+        optional["targets"] = need("targets", list)
 
+    # the library checks each entry; thresholds first, before Graph allocates n lists
     try:
+        _check_thresholds(n, thresholds)
         graph = Graph(n, edges)
         instance = Instance(graph, tuple(thresholds), latency, **optional)
     except ValueError as exc:
@@ -277,14 +268,12 @@ def _kexpr_source(args: argparse.Namespace) -> str:
                 return fh.read()
         except OSError as exc:
             raise InstanceError(f"cannot read {args.file}: {exc}") from exc
-    if args.instance is not None:
-        doc = _read_json(args.instance)
-        if not isinstance(doc, dict) or "kexpr" not in doc:
-            raise InstanceError("instance document has no kexpr field")
-        if not isinstance(doc["kexpr"], str):
-            raise InstanceError("field 'kexpr' has the wrong type")
-        return doc["kexpr"]
-    raise InstanceError("provide --expr, --file, or --instance")
+    doc = _read_json(args.instance)  # argparse requires exactly one source
+    if not isinstance(doc, dict) or "kexpr" not in doc:
+        raise InstanceError("instance document has no kexpr field")
+    if not isinstance(doc["kexpr"], str):
+        raise InstanceError("field 'kexpr' has the wrong type")
+    return doc["kexpr"]
 
 
 def _cmd_kexpr(args: argparse.Namespace) -> int:
@@ -366,8 +355,8 @@ def _instance_doc_from_expression(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.latency is not None and args.latency < 0:
-        raise ValueError("latency must be non-negative")
+    if args.latency is not None:
+        _check_latency(args.latency)
     rng = Random(args.seed)
     # built per call, so each builder is looked up on kexpr when it runs
     build = {
@@ -405,9 +394,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_k = sub.add_parser("kexpr", help="construction-expression tools")
     p_k.add_argument("action", choices=["parse", "eval", "check", "lift"])
-    p_k.add_argument("--expr")
-    p_k.add_argument("--file")
-    p_k.add_argument("--instance")
+    source = p_k.add_mutually_exclusive_group(required=True)
+    source.add_argument("--expr")
+    source.add_argument("--file")
+    source.add_argument("--instance")
     p_k.add_argument("--targets", help="comma-separated vertex names (lift)")
     p_k.add_argument("--output")
 

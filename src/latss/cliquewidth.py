@@ -62,7 +62,7 @@ from itertools import accumulate, product
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import normalize_thresholds, simulate
+from .graphs import _check_latency, _vertex_set, normalize_thresholds, simulate
 from .kexpr import (
     Eta,
     IrredundancyError,
@@ -232,16 +232,12 @@ class CliqueWidthSolver:
         self.labeled = evaluate(post[-1])
         if self.labeled.violations:
             raise IrredundancyError(list(self.labeled.violations))
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        _check_latency(latency)
         self.latency = latency
         self.thresholds = normalize_thresholds(
             self.labeled.graph, thresholds
         )
-        self.targets = frozenset(targets)
-        for v in self.targets:
-            if not 0 <= v < self.labeled.graph.n:
-                raise ValueError(f"target vertex {v} out of range")
+        self.targets = _vertex_set(self.labeled.graph.n, targets, "target")
         self.rcap = max(self.thresholds, default=0)
         self._name_to_vid = {
             name: v for v, name in enumerate(self.labeled.names)
@@ -558,7 +554,7 @@ class CliqueWidthSolver:
         counts = self._scan(budget, requirement)
         if counts is None:
             return None
-        seeds = self._process(self.root_index, counts, self._zero)[0]
+        seeds = self.reconstruct(counts, self._zero)[0]
         final = simulate(
             self.labeled.graph, self.thresholds, seeds, self.latency
         ).final
@@ -596,12 +592,7 @@ class CliqueWidthSolver:
                 stack.extend(witness)
             elif witness[0] is not None:
                 fresh[witness[0]].append(self._info[node][0])
-        process = []
-        active: frozenset[int] = frozenset()
-        for round_fresh in fresh:
-            active = active.union(round_fresh)
-            process.append(active)
-        return process
+        return list(accumulate(map(frozenset, fresh), frozenset.union))
 
 
 # ---------------------------------------------------------------------------

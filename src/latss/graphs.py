@@ -6,12 +6,17 @@ every round activates each vertex whose number of already-active
 neighbours reaches its threshold.  All types are immutable after
 construction and every function is pure, so shared instances are safe
 to use from multiple threads.
+
+Input checks live here alone: ``Graph`` checks its edges, and every engine
+checks vertex ids, thresholds and latencies with ``_vertex_set``,
+``_check_thresholds`` and ``_check_latency``: plain ints, never bools or floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from random import Random
 from typing import Iterable, Sequence
 
@@ -20,17 +25,23 @@ class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
     Edges are normalized to sorted pairs and deduplicated; adjacency
-    lists are derived once at construction.  Self-loops and
-    out-of-range endpoints are rejected.
+    lists are derived once at construction.  Entries other than two
+    ints, self-loops and out-of-range endpoints are rejected.
     """
 
     __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if type(n) is not int or n < 0:
+            raise ValueError("vertex count must be a non-negative int")
         es = set()
-        for u, v in edges:
+        for entry in edges:
+            try:
+                u, v = entry
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"bad edge entry {entry!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -159,11 +170,34 @@ def random_tree(n: int, rng: Random) -> Graph:
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
-def _check_thresholds(graph: Graph, thresholds: Sequence[int]) -> None:
-    if len(thresholds) != graph.n:
-        raise ValueError(
-            f"expected {graph.n} thresholds, got {len(thresholds)}"
-        )
+def _vertex_set(n: int, vertices: Iterable[int], what: str) -> frozenset[int]:
+    """The ids in ``0..n-1`` that ``vertices`` lists; ValueError on any other entry."""
+    entries = tuple(vertices)
+    # types first: an unhashable entry must not reach frozenset()
+    if not set(map(type, entries)) <= {int}:
+        bad = next(v for v in entries if type(v) is not int)
+        raise ValueError(f"{what} vertex {bad!r} is not an int")
+    chosen = frozenset(entries)
+    low, high = min(chosen, default=0), max(chosen, default=n - 1)
+    if low < 0 or high >= n:
+        bad = low if low < 0 else high
+        raise ValueError(f"{what} vertex {bad} out of range for n={n}")
+    return chosen
+
+
+def _check_latency(latency: int) -> None:
+    if type(latency) is not int:
+        raise ValueError(f"latency {latency!r} is not an int")
+    if latency < 0:
+        raise ValueError("latency must be non-negative")
+
+
+def _check_thresholds(n: int, thresholds: Sequence[int]) -> None:
+    if len(thresholds) != n:
+        raise ValueError(f"expected {n} thresholds, got {len(thresholds)}")
+    if not set(map(type, thresholds)) <= {int}:
+        v = next(v for v, t in enumerate(thresholds) if type(t) is not int)
+        raise ValueError(f"threshold at vertex {v} is not an int")
     if min(thresholds, default=0) < 0:
         v = next(v for v, t in enumerate(thresholds) if t < 0)
         raise ValueError(f"negative threshold at vertex {v}")
@@ -178,7 +212,7 @@ def normalize_thresholds(
     activated by neighbours anyway, so capping leaves every solver's
     answer unchanged.
     """
-    _check_thresholds(graph, thresholds)
+    _check_thresholds(graph.n, thresholds)
     return tuple(
         map(min, thresholds, [len(nb) + 1 for nb in graph.adjacency])
     )
@@ -209,12 +243,8 @@ class ActivationTrace:
 
     @cached_property
     def rounds(self) -> tuple[frozenset[int], ...]:
-        acc: frozenset[int] = frozenset()
-        out = []
-        for delta in self.steps:
-            acc = acc.union(delta)
-            out.append(acc)
-        return (*out, *(acc,) * (self.latency + 1 - len(out)))
+        out = tuple(accumulate(self.steps, frozenset.union))
+        return out + out[-1:] * (self.latency + 1 - len(out))
 
     @cached_property
     def final(self) -> frozenset[int]:
@@ -241,13 +271,9 @@ def simulate(
     nothing.
     """
     n = graph.n
-    _check_thresholds(graph, thresholds)
-    if latency < 0:
-        raise ValueError("latency must be non-negative")
-    seed_set = frozenset(seed)
-    for v in seed_set:
-        if not 0 <= v < n:
-            raise ValueError(f"seed vertex {v} out of range for n={n}")
+    _check_thresholds(n, thresholds)
+    _check_latency(latency)
+    seed_set = _vertex_set(n, seed, "seed")
 
     active = bytearray(n)
     hits = [0] * n
@@ -298,26 +324,21 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        _check_thresholds(self.graph, self.thresholds)
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
+        n = self.graph.n
+        _check_thresholds(n, self.thresholds)
+        _check_latency(self.latency)
         if self.requirement is not None and self.targets is not None:
             raise ValueError("requirement and targets are mutually exclusive")
         if self.requirement is None and self.targets is None:
             raise ValueError("instance needs a requirement or a target set")
         if self.requirement is not None and self.budget is None:
             raise ValueError("the activation-count variant needs a budget")
-        n = self.graph.n
-        if self.budget is not None and not 0 <= self.budget <= n:
-            raise ValueError(f"budget must lie in [0, {n}]")
-        if self.requirement is not None and not 0 <= self.requirement <= n:
-            raise ValueError(f"requirement must lie in [0, {n}]")
+        for field in ("budget", "requirement"):
+            value = getattr(self, field)
+            if value is not None and not (type(value) is int and 0 <= value <= n):
+                raise ValueError(f"{field} must be an int in [0, {n}]")
         if self.targets is not None:
-            targets = frozenset(self.targets)
-            for v in targets:
-                if not 0 <= v < n:
-                    raise ValueError(f"target vertex {v} out of range")
-            object.__setattr__(self, "targets", targets)
+            object.__setattr__(self, "targets", _vertex_set(n, self.targets, "target"))
 
     @property
     def variant(self) -> str:

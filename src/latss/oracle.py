@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _check_latency, _check_thresholds, _vertex_set
 
 DEFAULT_LIMIT = 20
 
@@ -48,15 +48,6 @@ def cascade(
     return active
 
 
-def _mask(vertices: Iterable[int], n: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for n={n}")
-        mask |= 1 << v
-    return mask
-
-
 def _first_seed(
     graph: Graph,
     thresholds: Sequence[int],
@@ -75,7 +66,9 @@ def _first_seed(
             f"instance has {graph.n} vertices; brute force is capped at {DEFAULT_LIMIT}"
         )
     n = graph.n
-    tmask = _mask(targets, n)
+    _check_thresholds(n, thresholds)
+    _check_latency(latency)
+    tmask = sum(1 << v for v in _vertex_set(n, targets, "target"))
     masks = neighbor_masks(graph)
     for size in range(min(max_size, n) + 1):
         for comb in combinations(range(n), size):

@@ -41,6 +41,8 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    _check_latency,
+    _vertex_set,
     connected_components,  # unused here; perfbench/tracing.py rebinds it by this name
     is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
     normalize_thresholds,
@@ -105,12 +107,8 @@ def solve_detailed(
     """
     n = tree.n
     parent, order, _ = root_forest(tree)
-    if latency < 0:
-        raise ValueError("latency must be non-negative")
-    target_set = set(targets)
-    for v in target_set:
-        if not 0 <= v < n:
-            raise ValueError(f"target vertex {v} out of range")
+    _check_latency(latency)
+    required = set(_vertex_set(n, targets, "target"))
     thr = normalize_thresholds(tree, thresholds)
 
     inf = latency + 1
@@ -118,7 +116,6 @@ def solve_detailed(
     path = [-1] * n
     max_path = [0] * n
     seeds: set[int] = set()
-    required = set(target_set)
 
     adjacency = tree.adjacency
     for v in order:

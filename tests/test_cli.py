@@ -182,6 +182,29 @@ class TestDocuments:
             load_instance(str(path))
 
 
+class TestRefusals:
+    """Input errors of the command line: each exits 2 with its message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--method", "tree", "--instance", "{n0}"], "n must be at least 1"),
+            (["solve", "--method", "brute", "--instance", "{missing}"], "cannot read"),
+            (["simulate", "--seed", "1,,2", "--instance", "{p3}"], "bad seed list"),
+        ],
+        ids=["n-below-one", "missing-instance", "empty-seed-entry"],
+    )
+    def test_exits_two(self, tmp_path, argv, message):
+        paths = {
+            "n0": write(tmp_path, {**P3_DOC, "n": 0}, name="n0.json"),
+            "missing": str(tmp_path / "absent.json"),
+            "p3": write(tmp_path, P3_DOC, name="p3.json"),
+        }
+        code, out, err = run_captured([arg.format(**paths) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+
 class TestSimulateCommand:
     def test_trace_document(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)
@@ -804,6 +827,20 @@ class TestKexprCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "field 'kexpr' has the wrong type" in captured.err
+
+    @pytest.mark.parametrize(
+        "sources",
+        [[], ["--expr", "1(a)", "--file", "absent.txt"],
+         ["--expr", "1(a)", "--instance", "absent.json"]],
+        ids=["none", "expr-and-file", "expr-and-instance"],
+    )
+    def test_exactly_one_source(self, capsys, sources):
+        # argparse refuses the command line before any source is read
+        with pytest.raises(SystemExit) as exc:
+            main(["kexpr", "parse", *sources])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--expr" in captured.err
 
     def test_deeply_nested_instance_exits_two(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

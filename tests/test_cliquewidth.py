@@ -75,6 +75,37 @@ class TestVerifySchedule:
             verify_schedule(lg, (1,), ((1, 0),), ((0,),), [{0}])
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "labels, thresholds, counts, reductions, process, message",
+        [
+            ("1(u)", (1,), ((),), ((),), [], "at least the seed round"),
+            ("1(u)", (1,), ((1, 0),), (), [{0}, {0}], "one row per label class"),
+            ("1(u)", (1,), ((1, 0),), ((0, 0),), [{0}, {0}], "process length"),
+            ("U(1(u), 2(v))", (1, 1), ((1, 0),), ((0,),), [{0}, {0}], "exceed k=1"),
+            ("1(u)", (1, 1), ((1, 0),), ((0,),), [{0}, {0}], "do not match the graph"),
+        ],
+        ids=["no-rounds", "reduction-classes", "row-length", "labels-above-k",
+             "thresholds"],
+    )
+    def test_verify_schedule_dimensions(
+        self, labels, thresholds, counts, reductions, process, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            verify_schedule(
+                evaluate(parse(labels)), thresholds, counts, reductions, process
+            )
+
+    @pytest.mark.parametrize(
+        "counts, reductions",
+        [(((-1, 1),), ((0,),)), (((1, 0),), ((-1,),))],
+        ids=["count", "reduction"],
+    )
+    def test_query_negative_entry(self, counts, reductions):
+        with pytest.raises(ValueError, match="non-negative"):
+            solver_for("1(u)", (1,), 1).query(counts, reductions)
+
+
 class TestLeafQueries:
     def test_seed_round_always_allowed(self):
         s = solver_for("1(u)", (1,), 1)

@@ -1,5 +1,7 @@
 """Core graph types, threshold normalization, and cascade invariants."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from latss.graphs import (
     is_tree,
     normalize_thresholds,
     path_graph,
+    random_tree,
     root_forest,
     simulate,
     star_graph,
@@ -204,6 +207,25 @@ class TestInstance:
             Instance(g, (1, 1), 1, budget=5, requirement=1)
         with pytest.raises(ValueError):
             Instance(g, (1, 1), 1, targets={7})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Graph(-1), "vertex count"),
+            (lambda: random_tree(0, Random(1)), "at least one vertex"),
+            (lambda: Instance(path_graph(2), (1, 1), 1, budget=2, requirement=3),
+             "requirement must be an int in"),
+            (lambda: Instance(path_graph(2), (1, 1), 1, budget=2, requirement=-1),
+             "requirement must be an int in"),
+        ],
+        ids=["negative-vertex-count", "empty-random-tree", "requirement-above-n",
+             "negative-requirement"],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestVerifySolution:

@@ -291,6 +291,27 @@ class TestValidate:
             check(expr)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: validate(Leaf(1, "a b")), KExprError, "invalid vertex name"),
+            (lambda: validate(Eta(0, 1, Leaf(1, "u"))), KExprError, "labels start at 1"),
+            (lambda: path_expression(0), ValueError, "at least one vertex"),
+            (lambda: path_expression(3, names=["a", "b"]), ValueError,
+             "expected 3 names, got 2"),
+            (lambda: star_expression(0), ValueError, "at least one vertex"),
+            (lambda: cograph_expression(0, random.Random(1)), ValueError,
+             "at least one vertex"),
+        ],
+        ids=["leaf-name", "eta-label-0", "path-0", "path-names", "star-0",
+             "cograph-0"],
+    )
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
 class TestEvaluate:
     def test_path_on_five_vertices(self):
         lg = evaluate(parse(P5_TEXT))
