@@ -41,12 +41,20 @@ without seeds.  The scan takes seed rounds in increasing seed count, so
 the first satisfiable query within a budget uses the fewest seeds of
 any: one scan at budget n answers the minimisation.
 
-The scan bounds each round i >= 1 by the thresholds.  A vertex that is
-not a seed and fires by round i has at most min(A(i-1), degree) active
-neighbours, A(i-1) being the number active by round i-1, so its
-threshold is at most that.  A table built once counts such vertices per
-root class; no cascade fires more of a class in rounds 1..i, so the
-scan drops only matrices no cascade produces and keeps its order.
+Every node bounds each round i >= 1 by the thresholds.  In the node's
+subgraph H, a class-l vertex v that is not a seed and fires by round i
+has at most min(deg_H v, A(i-1)) active neighbours, A(i-1) being the
+query's total over rounds 0..i-1, so t(v) is at most that plus R_l(i),
+the running maximum of the class's reductions at rounds 1..i.  No
+process fires more of class l in rounds 1..i than H has such vertices.
+A grid per node and class, indexed by A and R, counts them; the grids
+are composed once up the expression tree, since on an irredundant
+expression eta(a, b) gives each class-a vertex exactly as many new
+neighbours as class b has vertices.  An inner-node query over the bound
+is false before its splits are enumerated, and the root scan, where
+R = 0, never builds such a matrix.  Only unsatisfiable queries are cut,
+so every node finds the same first satisfiable alternative as without
+the bound, and witnesses do not change.
 
 Reduction entries are clamped at the largest threshold: any value at or
 above every threshold behaves identically in the activation rule, so
@@ -58,8 +66,8 @@ run concurrently on shared inputs.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from operator import sub
+from itertools import accumulate, product, repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import _check_latency, _vertex_set, normalize_thresholds, simulate
@@ -78,6 +86,11 @@ from .kexpr import (
 
 CountMatrix = tuple[tuple[int, ...], ...]
 ReductionMatrix = tuple[tuple[int, ...], ...]
+# grid[a][r]: vertices v of a class with t(v) <= r + min(deg v, a), for a
+# up to the class's largest degree and r up to the largest threshold.  The
+# rows are lists, never changed once built: a solver's many short rows, as
+# tuples, would stay on the interpreter's tuple free lists once it is gone.
+Grid = tuple[list[int], ...]
 
 
 def verify_schedule(
@@ -156,6 +169,34 @@ def _rename(row: tuple[int, ...], la: int, lb: int) -> tuple[int, ...]:
     merged[lb] += merged[la]
     merged[la] = 0
     return tuple(merged)
+
+
+def _pooled(x: Grid, y: Grid, x_size: int, y_size: int) -> Grid:
+    """Bound grid of the union of two disjoint vertex classes."""
+    if not y_size:
+        return x
+    if not x_size:
+        return y
+    tx, ty = len(x) - 1, len(y) - 1
+    return tuple(
+        [*map(add, x[min(a, tx)], y[min(a, ty)])] for a in range(max(tx, ty) + 1)
+    )
+
+
+def _gained(grid: Grid, gain: int) -> Grid:
+    """Bound grid of a class whose vertices each gain ``gain`` neighbours.
+
+    With degree d + gain, min(d + gain, a) is a when a <= gain and
+    gain + min(d, a - gain) after, so row a is row a - s of the old grid
+    read s columns on, s = min(a, gain); columns past the last repeat it.
+    """
+    width = len(grid[0])
+    rows = []
+    for a in range(len(grid) + gain):
+        s = min(a, gain)
+        row = grid[a - s]
+        rows.append(row[s:] + row[-1:] * min(s, width))
+    return tuple(rows)
 
 
 def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
@@ -243,14 +284,10 @@ class CliqueWidthSolver:
             name: v for v, name in enumerate(self.labeled.names)
         }
         self._zero = ((0,) * latency,) * self.k
-        # _fire[a][l]: vertices of root class l with threshold <= min(a, degree)
-        fire = [[0] * self.k for _ in range(len(self.thresholds) + 1)]
-        for v, (lab, t) in enumerate(zip(self.labeled.labels, self.thresholds)):
-            if t <= self.labeled.graph.degree(v):
-                fire[t][lab - 1] += 1
-        self._fire = [*accumulate(map(tuple, fire), _add)]
         self._build_nodes(post)
         self._memo: list[dict] = [{} for _ in self._kind]
+        # per node, set on its first memo miss (see _exceeds_bound)
+        self._safe: list[int | None] = [None] * len(self._kind)
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
 
@@ -262,6 +299,11 @@ class CliqueWidthSolver:
         info: list[tuple] = []
         label_counts: list[tuple[int, ...]] = []
         target_counts: list[tuple[int, ...]] = []
+        # per node, the bound grid of each class of its subgraph; a class
+        # an operation leaves alone shares its child's grid
+        bounds: list[tuple[Grid, ...]] = []
+        width = self.rcap + 1
+        empty = ([0] * width,)
         stack: list[int] = []
         for idx, node in enumerate(post):
             if isinstance(node, Leaf):
@@ -271,32 +313,51 @@ class CliqueWidthSolver:
                 one_hot = tuple(int(l == node.label - 1) for l in range(k))
                 label_counts.append(one_hot)
                 target_counts.append(one_hot if vid in self.targets else (0,) * k)
+                t = self.thresholds[vid]
+                alone = ([0] * t + [1] * (width - t),)
+                bounds.append(tuple(alone if x else empty for x in one_hot))
             elif isinstance(node, Union):
                 right = stack.pop()
                 left = stack.pop()
                 kind.append("union")
                 info.append((left, right))
-                label_counts.append(_add(label_counts[left], label_counts[right]))
+                sizes = label_counts[left], label_counts[right]
+                label_counts.append(_add(*sizes))
                 target_counts.append(_add(target_counts[left], target_counts[right]))
+                bounds.append(tuple(map(_pooled, bounds[left], bounds[right], *sizes)))
             elif isinstance(node, Eta):
                 child = stack.pop()
+                a, b = node.a - 1, node.b - 1
                 kind.append("eta")
-                info.append((child, node.a - 1, node.b - 1))
-                label_counts.append(label_counts[child])
+                info.append((child, a, b))
+                sizes = label_counts[child]
+                label_counts.append(sizes)
                 target_counts.append(target_counts[child])
+                # irredundant: each class-a vertex gains every class-b vertex
+                grids = list(bounds[child])
+                if sizes[a] and sizes[b]:
+                    grids[a] = _gained(grids[a], sizes[b])
+                    grids[b] = _gained(grids[b], sizes[a])
+                bounds.append(tuple(grids))
             else:
                 child = stack.pop()
                 la, lb = node.a - 1, node.b - 1
                 kind.append("rho")
                 info.append((child, la, lb))
-                label_counts.append(_rename(label_counts[child], la, lb))
+                sizes = label_counts[child]
+                label_counts.append(_rename(sizes, la, lb))
                 target_counts.append(_rename(target_counts[child], la, lb))
+                grids = list(bounds[child])
+                grids[lb] = _pooled(grids[la], grids[lb], sizes[la], sizes[lb])
+                grids[la] = empty
+                bounds.append(tuple(grids))
             stack.append(idx)
         self._nodes = post
         self._kind = kind
         self._info = info
         self._label_counts = label_counts
         self._target_counts = target_counts
+        self._bounds = bounds
         self.root_index = len(post) - 1
 
     @property
@@ -360,12 +421,66 @@ class CliqueWidthSolver:
         return value
 
     def _settle(self, node: int, counts, reds):
-        """A query's value when known without its children: a memo hit or a leaf."""
+        """A query's value when known without its children.
+
+        That is a memo hit, a leaf, or an inner query the threshold bound
+        rules out, whose children are then never asked.
+        """
         table = self._memo[node]
         value = table.get((counts, reds))
-        if value is None and self._kind[node] == "leaf":
-            value = table[counts, reds] = self._gamma_leaf(node, counts, reds)
+        if value is None:
+            if self._kind[node] == "leaf":
+                value = table[counts, reds] = self._gamma_leaf(node, counts, reds)
+            elif self._exceeds_bound(node, counts, reds):
+                value = table[counts, reds] = False
         return value
+
+    def _exceeds_bound(self, node: int, counts, reds) -> bool:
+        """Whether some class fires more in rounds 1..i than the bound allows.
+
+        A class-l vertex v of the node's subgraph H that is not a seed and
+        fires by round i has at most min(deg_H v, A) active neighbours, A
+        being the query's total over rounds 0..i-1, so its threshold is at
+        most that plus R, the largest of the class's reductions at rounds
+        1..i: the running maximum, since a public query's reductions may
+        fall.  The node's grid counts such vertices, and no process fires
+        more of the class in rounds 1..i.  The bound grows with i, so once
+        it covers the class's non-seed total no later round can bind; the
+        seeds alone can cover every class at once.
+        """
+        seeds = sum(next(zip(*counts)))
+        safe = self._safe[node]
+        if safe is None:
+            # the fewest seeds from which every class's round-1 bound, even
+            # without reductions, is its size; n + 1 when there are none
+            safe = self._safe[node] = max(
+                next(
+                    (a for a, row in enumerate(grid) if row[0] >= size),
+                    self.labeled.graph.n + 1,
+                )
+                for grid, size in zip(self._bounds[node], self._label_counts[node])
+            )
+        if seeds >= safe:
+            return False
+        rcap = self.rcap
+        active = None
+        for row, red, grid in zip(counts, reds, self._bounds[node]):
+            rest = sum(row) - row[0]
+            if not rest:
+                continue
+            top = len(grid) - 1
+            if rest <= grid[min(seeds, top)][min(red[0], rcap)]:
+                continue
+            if active is None:
+                active = [*accumulate(map(sum, zip(*counts)))]
+            rounds = zip(accumulate(row[1:]), accumulate(red, max), active)
+            for fired, r, total in rounds:
+                bound = grid[min(total, top)][min(r, rcap)]
+                if fired > bound:
+                    return True
+                if bound >= rest:
+                    break
+        return False
 
     def _gamma_leaf(self, node, counts, reds):
         # seeded, else active at the first round whose reduction reaches the
@@ -411,7 +526,7 @@ class CliqueWidthSolver:
         out = list(reds)
         for x, y in ((la, lb), (lb, la)):
             out[x] = tuple(
-                min(rcap, r + seen) for r, seen in zip(reds[x], accumulate(counts[y]))
+                map(min, map(add, reds[x], accumulate(counts[y])), repeat(rcap))
             )
         return tuple(out)
 
@@ -459,21 +574,24 @@ class CliqueWidthSolver:
         root label class; the seed row sums to at most ``seed_cap`` and
         the whole matrix to at least ``min_total``.  A row i >= 1 that
         sums to zero ends the cascade, so every later row is zero.  Row
-        i >= 1 of a class is at most ``_fire[A(i-1)]`` less the class
-        total of rows 1..i-1, A(i-1) being the total of rows 0..i-1: a
-        vertex that fires by round i has threshold <= min(A(i-1), degree).
+        i >= 1 of a class is at most its bound at round i with no
+        reduction (see :meth:`_exceeds_bound`) less the class total of
+        rows 1..i-1.
         """
         root = self.root_index
         rows = self.latency + 1
         zero_row = (0,) * self.k
-        fire = self._fire
+        bounds = self._bounds[root]
 
         def options(i, left, need, fired, total):
             if i < rows - 1:
                 need = zero_row
             if i == 0:
                 return _rows_by_sum(need, left, seed_cap)
-            hi = map(min, left, map(sub, fire[total], fired))
+            hi = (
+                min(c, grid[min(total, len(grid) - 1)][0] - f)
+                for c, f, grid in zip(left, fired, bounds)
+            )
             return product(*(range(n, c + 1) for n, c in zip(need, hi)))
 
         # the rows fixed so far, and for each the state before it: its
@@ -526,13 +644,18 @@ class CliqueWidthSolver:
 
     def _entry(self, node: int, counts, reductions):
         """A public query as a memo key; None when a class total is out of bounds."""
+        if type(node) is not int or not 0 <= node < self.node_count:
+            raise ValueError(f"node {node!r} is not in 0..{self.node_count - 1}")
         counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
         shape = (self.latency + 1,) * self.k + (self.latency,) * self.k
         if (*map(len, counts), *map(len, reds)) != shape:
             raise ValueError(
                 "each label class needs latency+1 counts and latency reductions"
             )
-        if any(x < 0 for row in (*counts, *reds) for x in row):
+        entries = [x for row in (*counts, *reds) for x in row]
+        if not set(map(type, entries)) <= {int}:
+            raise ValueError("query entries must be ints")
+        if any(x < 0 for x in entries):
             raise ValueError("query entries must be non-negative")
         for row, lo, hi in zip(
             counts, self._target_counts[node], self._label_counts[node]

@@ -494,6 +494,87 @@ class TestThresholdBound:
         assert CliqueWidthSolver(expr, thr, lam).decide(len(seeds), len(final))
         assert CliqueWidthSolver(expr, thr, lam, final).decide(len(seeds))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        expressions(max_labels=3, max_leaves=6, min_leaves=2).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.data(),
+    )
+    def test_never_cuts_a_real_process_at_an_inner_node(self, expr, data):
+        # a process of the reduced-threshold rule at an inner node, under
+        # per-class reductions that need not grow, is a satisfiable query
+        graph = evaluate(expr).graph
+        thr = tuple(
+            data.draw(st.integers(0, graph.degree(v) + 1)) for v in range(graph.n)
+        )
+        lam = data.draw(st.integers(1, 3))
+        solver = CliqueWidthSolver(expr, thr, lam)
+        inner = [
+            x for x in range(solver.node_count) if len(solver.subgraph(x)[0].names) > 1
+        ]
+        node = data.draw(st.sampled_from(inner))
+        local, local_thr, to_local = solver.subgraph(node)
+        adjacency, labels = local.graph.adjacency, local.labels
+        reds = tuple(
+            tuple(data.draw(st.integers(0, solver.rcap + 1)) for _ in range(lam))
+            for _ in range(solver.k)
+        )
+        seeds = data.draw(st.sets(st.integers(0, local.graph.n - 1)))
+        rounds = [frozenset(seeds)]
+        for i in range(lam):
+            prev = rounds[-1]
+            rounds.append(
+                prev
+                | {
+                    u
+                    for u in range(local.graph.n)
+                    if u not in prev
+                    and len(prev.intersection(adjacency[u]))
+                    >= local_thr[u] - reds[labels[u] - 1][i]
+                }
+            )
+        fresh = [rounds[0], *(cur - prev for prev, cur in zip(rounds, rounds[1:]))]
+        counts = tuple(
+            tuple(sum(labels[u] == lab for u in stage) for stage in fresh)
+            for lab in range(1, solver.k + 1)
+        )
+        assert verify_schedule(local, local_thr, counts, reds, rounds)
+        process = solver.reconstruct(counts, reds, node)
+        mapped = [frozenset(to_local[v] for v in stage) for stage in process]
+        assert verify_schedule(local, local_thr, counts, reds, mapped)
+
+    def test_an_inner_query_over_the_bound_asks_no_child(self):
+        # at U(1(a), 1(b)) neither vertex has a neighbour yet, so with no
+        # seed and no reduction no threshold-1 vertex can fire at round 1
+        solver = solver_for("eta(1,2, U(U(1(a), 1(b)), 2(c)))", (1, 1, 1), 1)
+        node, leaves = 2, (0, 1)
+        assert solver.subgraph(node)[0].names == ("a", "b")
+        with pytest.raises(ValueError, match="not satisfiable"):
+            solver.reconstruct(((0, 2), (0, 0)), ((0,), (0,)), node)
+        assert solver.queries(node) == [(((0, 2), (0, 0)), ((0,), (0,)))]
+        assert all(solver.queries(leaf) == [] for leaf in leaves)
+        # a reduction of 1 lifts the bound, and the union asks its leaves
+        process = solver.reconstruct(((0, 2), (0, 0)), ((1,), (0,)), node)
+        assert process == [frozenset(), frozenset({0, 1})]
+        assert all(solver.queries(leaf) for leaf in leaves)
+
+    def test_a_reduction_that_falls_keeps_its_help(self):
+        # a fires at round 1 under reduction 1, nothing at round 2 under
+        # reduction 0, b at round 3 under reduction 2: the bound at round 2
+        # takes the largest reduction so far, not the current one
+        solver = solver_for("eta(1,2, U(U(1(a), 1(b)), 2(c)))", (1, 2, 1), 3)
+        counts, reds = ((0, 1, 0, 1), (0, 0, 0, 0)), ((1, 0, 2), (0, 0, 0))
+        process = solver.reconstruct(counts, reds, 2)
+        assert process == [frozenset(), {0}, {0}, {0, 1}]
+
+    def test_memo_ceiling_on_a_long_path(self):
+        n = 14
+        solver = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))
+        assert solver.select(n) == {0}
+        entries = sum(len(solver.queries(x)) for x in range(solver.node_count))
+        assert entries <= 300  # 1,402 with the bound at the root alone
+
     @pytest.mark.parametrize("n", [10, 12])
     def test_unreachable_rounds_are_never_queried(self, n):
         # one seed reaches no threshold-2 vertex of a path, so every root

@@ -2,7 +2,9 @@
 
 Every engine that takes them refuses a bool, a float, a string, None, a
 list, a negative value and (for vertex ids) the id n with ValueError:
-never a TypeError, a failed assertion or an answer.
+never a TypeError, a failed assertion or an answer.  The clique-width
+solver's public queries refuse entries that are not ints, and a node
+outside the expression tree, the same way.
 """
 
 import pytest
@@ -52,3 +54,34 @@ def test_refused_with_value_error(engine, kind, bad):
         args["latency"] = bad
     with pytest.raises(ValueError):
         ENGINES[engine](args["thresholds"], args["latency"], args["vertices"])
+
+
+# seeding the middle vertex of the path 0-1-2 (labels 3, 2, 1) at latency 1
+QUERY = {"counts": [[0, 1], [1, 0], [0, 1]], "reductions": [[0], [0], [0]]}
+MALFORMED = {
+    "float-count": ("counts", 0, 1.0),
+    "bool-count": ("counts", 0, True),
+    "half-reduction": ("reductions", 1, 0.5),
+    "bool-reduction": ("reductions", 1, False),
+    "string-reduction": ("reductions", 1, "0"),
+}
+
+
+@pytest.mark.parametrize("method", ["query", "reconstruct"])
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_query_entry_refused(method, case):
+    solver = CliqueWidthSolver(path_expression(N), (1, 1, 1), 1)
+    assert solver.query(QUERY["counts"], QUERY["reductions"])
+    field, row, bad = MALFORMED[case]
+    query = {key: [list(r) for r in rows] for key, rows in QUERY.items()}
+    query[field][row][0] = bad
+    with pytest.raises(ValueError, match="must be ints"):
+        getattr(solver, method)(query["counts"], query["reductions"])
+
+
+@pytest.mark.parametrize("node", [99, 7, -1, True, 1.0, "6"])
+def test_reconstruct_node_out_of_range_refused(node):
+    solver = CliqueWidthSolver(path_expression(N), (1, 1, 1), 1)
+    assert solver.node_count == 7
+    with pytest.raises(ValueError, match="is not in 0..6"):
+        solver.reconstruct(QUERY["counts"], QUERY["reductions"], node)
