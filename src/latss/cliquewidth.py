@@ -41,6 +41,22 @@ without seeds.  The scan takes seed rounds in increasing seed count, so
 the first satisfiable query within a budget uses the fewest seeds of
 any: one scan at budget n answers the minimisation.
 
+When the scan reaches the first matrix of seed count s, every smaller
+count is refuted, so any s seeds that reach the requirement and every
+target are an optimum.  The scan tries a greedy seed chain S_1 ⊂ S_2 ⊂
+... first.  Each step adds the vertex whose cascade reaches the most
+targets, then the most vertices, ties going to the smallest id.  A
+candidate is scored from the current set's fire rounds, since a new
+seed moves only vertices within latency hops of it, and its score is
+kept until a seed added later moves a vertex near it.  The chain grows
+on demand and stays on the solver, so a budget sweep builds it once.
+If S_s reaches the requirement and every target, its cascade is
+simulated and written into the memo, one satisfied entry per node, and
+its root counts are returned; otherwise the matrices of count s are
+searched in order.  On dense graphs at a large latency one seed often
+suffices, and the search at the optimum, nearly all of the time there,
+never runs.
+
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
 has at most min(deg_H v, A(i-1)) active neighbours, A(i-1) being the
@@ -70,7 +86,13 @@ from itertools import accumulate, product, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import _check_latency, _vertex_set, normalize_thresholds, simulate
+from .graphs import (
+    Graph,
+    _check_latency,
+    _vertex_set,
+    normalize_thresholds,
+    simulate,
+)
 from .kexpr import (
     Eta,
     IrredundancyError,
@@ -229,6 +251,15 @@ def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
             rest -= 1
 
 
+def _fire_rounds(steps: Sequence[frozenset[int]], n: int, never: int | None) -> list:
+    """The round each of n vertices fires in a cascade's steps, else ``never``."""
+    fire = [never] * n
+    for i, step in enumerate(steps):
+        for v in step:
+            fire[v] = i
+    return fire
+
+
 def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
     """Relabel a post-order node list of width k to use labels 1..k', in order."""
     used: set[int] = set()
@@ -249,6 +280,83 @@ def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
         else:
             new[id(node)] = type(node)(rank[node.a], rank[node.b], new[id(node.child)])
     return [*new.values()], len(used)
+
+
+class _GreedyChain:
+    """Seed sets S_1 ⊂ S_2 ⊂ ..., each one vertex more, grown on demand.
+
+    Each step adds the vertex whose cascade reaches the most targets, then
+    the most vertices, ties going to the smallest id.  A candidate's gain
+    is scored from the current fire rounds by :meth:`_advance`, and kept
+    until a new seed moves a vertex within latency + 1 hops of it: only
+    those fire rounds enter its score.  The winner's gain adds to the
+    tally of what each prefix reaches.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        thresholds: Sequence[int],
+        latency: int,
+        targets: frozenset[int],
+    ) -> None:
+        self.graph, self.thresholds = graph, thresholds
+        self.latency, self.targets = latency, targets
+        self.seeds: list[int] = []
+        empty = simulate(graph, thresholds, (), latency)
+        # (targets, vertices) reached by the first i seeds, for each i so far
+        self.reach = [(len(targets & empty.final), len(empty.final))]
+        # the round each vertex fires under the seeds, latency + 1 for never
+        self.fire = _fire_rounds(empty.steps, graph.n, latency + 1)
+        # (targets, vertices) newly reached with each vertex as a seed too;
+        # None until scored, and again once a new seed may have changed it
+        self.gains: list[tuple[int, int] | None] = [None] * graph.n
+
+    def grow(self) -> None:
+        """Add the next seed, scoring only the candidates not scored since."""
+        fire, gains, never = self.fire, self.gains, self.latency + 1
+        for v, gain in enumerate(gains):
+            if gain is None and fire[v]:  # fire[v] == 0: a seed already
+                new = [u for u in self._advance(v) if fire[u] == never]
+                gains[v] = (len(self.targets.intersection(new)), len(new))
+        best = max(
+            (v for v in range(len(fire)) if fire[v]), key=lambda v: (gains[v], -v)
+        )
+        moved = self._advance(best)
+        self.seeds.append(best)
+        self.reach.append(tuple(map(add, self.reach[-1], gains[best])))
+        adjacency, near = self.graph.adjacency, set(moved)
+        for u, i in moved.items():
+            fire[u] = i
+        for _ in range(never):
+            near.update([x for w in near for x in adjacency[w]])
+        for v in near:
+            gains[v] = None
+
+    def _advance(self, seed: int) -> dict[int, int]:
+        """The vertices that fire earlier when ``seed`` joins the seeds, by round.
+
+        Seeds only speed a cascade up, so a vertex fires earlier at round
+        i only beside one that is active by round i - 1 and was not
+        before: the search spreads from the seed one hop a round.
+        """
+        fire, adjacency = self.fire, self.graph.adjacency
+        moved = {seed: 0}
+        for i in range(1, self.latency + 1):
+            ahead = [w for w in moved if fire[w] >= i]
+            if not ahead:
+                break
+            fired = [
+                u
+                for u in {u for w in ahead for u in adjacency[w]}
+                if fire[u] > i
+                and u not in moved
+                # active neighbours by round i - 1, in the new cascade
+                and sum(min(fire[x], moved.get(x, i)) < i for x in adjacency[u])
+                >= self.thresholds[u]
+            ]
+            moved.update(dict.fromkeys(fired, i))
+        return moved
 
 
 class CliqueWidthSolver:
@@ -290,6 +398,12 @@ class CliqueWidthSolver:
         self._safe: list[int | None] = [None] * len(self._kind)
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
+        # the greedy seed chain, and the root counts of each of its prefixes
+        # written into the memo (see _chain_answer)
+        self._chain = _GreedyChain(
+            self.labeled.graph, self.thresholds, latency, self.targets
+        )
+        self._chain_counts: dict[int, CountMatrix] = {}
 
     # -- expression-tree tables ------------------------------------------
 
@@ -629,13 +743,98 @@ class CliqueWidthSolver:
             rest = options(i + 1, left, need, fired, total)
 
     def _scan(self, budget: int, requirement: int):
-        """The satisfiable root counts with the fewest seeds, or None."""
+        """The satisfiable root counts with the fewest seeds, or None.
+
+        At the first matrix of each seed count every smaller count is
+        refuted, so the greedy chain's set of that size answers when its
+        cascade does; otherwise the matrices of that count are searched.
+        """
         root, zero = self.root_index, self._zero
+        level = -1
         for matrix in self._root_counts(budget, requirement):
+            if sum(matrix[0]) > level:
+                level = sum(matrix[0])
+                counts = self._chain_answer(level, requirement)
+                if counts is not None:
+                    return counts
             counts = tuple(zip(*matrix))
             if self._gamma(root, counts, zero):
                 return counts
         return None
+
+    # -- the greedy seed chain ----------------------------------------------
+
+    def _chain_answer(self, size: int, requirement: int):
+        """Root counts of the chain's first ``size`` seeds, or None.
+
+        None unless their cascade reaches the requirement and every
+        target.  Then the cascade is written into the memo, one satisfied
+        entry per node, so the root counts are a memo hit and
+        :meth:`reconstruct` returns this very process.
+        """
+        chain = self._chain
+        while len(chain.seeds) < size:
+            chain.grow()
+        hit, reached = chain.reach[size]
+        if reached < requirement or hit < len(self.targets):
+            return None
+        counts = self._chain_counts.get(size)
+        if counts is None:
+            run = simulate(
+                self.labeled.graph, self.thresholds, chain.seeds[:size], self.latency
+            )
+            counts = self._chain_counts[size] = self._write_cascade(run.steps)
+        return counts
+
+    def _write_cascade(self, steps: Sequence[frozenset[int]]) -> CountMatrix:
+        """Store a real cascade as satisfied memo entries; its root counts.
+
+        Each node's counts are composed bottom-up like the class sizes,
+        its reductions top-down from the root's zeros by the rules of
+        :meth:`_expand`, and its witness is its child queries; a leaf's
+        is the round it fires.
+        """
+        fire = _fire_rounds(steps, self.labeled.graph.n, None)
+        kinds, infos = self._kind, self._info
+        zero_row = (0,) * (self.latency + 1)
+        counts: list[CountMatrix] = []
+        for kind, info in zip(kinds, infos):
+            if kind == "leaf":
+                vid, l0 = info
+                rows = [zero_row] * self.k
+                if fire[vid] is not None:
+                    rows[l0] = tuple(int(i == fire[vid]) for i in range(len(zero_row)))
+                counts.append(tuple(rows))
+            elif kind == "union":
+                left, right = info
+                counts.append(tuple(map(_add, counts[left], counts[right])))
+            elif kind == "eta":
+                counts.append(counts[info[0]])
+            else:
+                child, la, lb = info
+                rows = list(counts[child])
+                rows[lb] = _add(rows[la], rows[lb])
+                rows[la] = zero_row
+                counts.append(tuple(rows))
+        reds: list = [None] * len(kinds)
+        reds[-1] = self._zero
+        for node in reversed(range(len(kinds))):
+            kind, info, red = kinds[node], infos[node], reds[node]
+            if kind == "leaf":
+                witness = (fire[info[0]],)
+            elif kind == "union":
+                for child in info:
+                    reds[child] = red
+                witness = tuple((child, counts[child], red) for child in info)
+            else:
+                child, la, lb = info
+                if kind == "eta":
+                    reds[child] = self._eta_reductions(counts[node], red, la, lb)
+                else:
+                    reds[child] = (*red[:la], red[lb], *red[la + 1 :])
+                witness = ((child, counts[child], reds[child]),)
+            self._memo[node][counts[node], red] = witness
+        return counts[-1]
 
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
@@ -646,7 +845,10 @@ class CliqueWidthSolver:
         """A public query as a memo key; None when a class total is out of bounds."""
         if type(node) is not int or not 0 <= node < self.node_count:
             raise ValueError(f"node {node!r} is not in 0..{self.node_count - 1}")
-        counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
+        try:
+            counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
+        except TypeError:
+            raise ValueError("counts and reductions must be rows of ints") from None
         shape = (self.latency + 1,) * self.k + (self.latency,) * self.k
         if (*map(len, counts), *map(len, reds)) != shape:
             raise ValueError(

@@ -16,14 +16,23 @@ from latss.cliquewidth import (
     select_targets,
     verify_schedule,
 )
-from latss.graphs import Instance, path_graph, random_tree, simulate, verify_solution
+from latss.graphs import (
+    Instance,
+    path_graph,
+    random_tree,
+    simulate,
+    star_graph,
+    verify_solution,
+)
 from latss.kexpr import (
     Eta,
     IrredundancyError,
     Leaf,
     Rho,
     Union,
+    canonicalize_names,
     check_irredundant,
+    cograph_expression,
     evaluate,
     fold,
     parse,
@@ -582,6 +591,55 @@ class TestThresholdBound:
         solver = CliqueWidthSolver(path_expression(n), (2,) * n, 3, range(n))
         assert solver.select(1) is None
         assert solver.queries(solver.root_index) == []
+
+
+class TestGreedyChain:
+    """The root scan first asks whether the greedy seed chain answers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        expressions(max_labels=3, max_leaves=7).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.data(),
+    )
+    def test_incremental_scores_pick_the_from_scratch_chain(self, expr, data):
+        graph = evaluate(expr).graph
+        n = graph.n
+        thr = tuple(data.draw(st.integers(0, graph.degree(v) + 2)) for v in range(n))
+        lam = data.draw(st.integers(0, 4))
+        targets = data.draw(st.sets(st.integers(0, n - 1)))
+        chain = []
+        while len(chain) < n:
+            # the most targets, then the most vertices, then the smallest id
+            def reach(v):
+                final = simulate(graph, thr, [*chain, v], lam).final
+                return len(final & targets), len(final), -v
+
+            chain.append(max((v for v in range(n) if v not in chain), key=reach))
+        solver = CliqueWidthSolver(expr, thr, lam, targets)
+        while len(solver._chain.seeds) < n:
+            solver._chain.grow()
+        assert solver._chain.seeds == chain
+        # what each prefix reaches, tallied from the scores
+        finals = [simulate(graph, thr, chain[:i], lam).final for i in range(n + 1)]
+        want = [(len(final & targets), len(final)) for final in finals]
+        assert solver._chain.reach == want
+
+    def test_a_greedy_miss_falls_back_to_the_scan(self):
+        # the chain's {0, 1} leaves leaf 2 with one active neighbour of two
+        expr = tree_expression(star_graph(3))
+        solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
+        assert solver.select(3) == {1, 2}
+        assert solver._chain.seeds[:2] == [0, 1]
+
+    def test_memo_ceiling_on_a_dense_cograph(self):
+        expr = canonicalize_names(cograph_expression(12, random.Random(1)))
+        solver = CliqueWidthSolver(expr, (1,) * 12, 12, range(12))
+        chosen = solver.select(12)
+        assert len(chosen) == 1 and chosen == set(solver._chain.seeds[:1])
+        entries = sum(len(solver.queries(x)) for x in range(solver.node_count))
+        assert entries <= 200  # 709,368 without the chain
 
 
 class TestWitnesses:

@@ -3,8 +3,9 @@
 Every engine that takes them refuses a bool, a float, a string, None, a
 list, a negative value and (for vertex ids) the id n with ValueError:
 never a TypeError, a failed assertion or an answer.  The clique-width
-solver's public queries refuse entries that are not ints, and a node
-outside the expression tree, the same way.
+solver's public queries refuse entries that are not ints, rows that are
+not sequences of them, and a node outside the expression tree, the same
+way.
 """
 
 import pytest
@@ -64,6 +65,9 @@ MALFORMED = {
     "half-reduction": ("reductions", 1, 0.5),
     "bool-reduction": ("reductions", 1, False),
     "string-reduction": ("reductions", 1, "0"),
+    # a whole field: rows that are not sequences, or no rows at all
+    "int-rows": ("counts", None, [1, 2, 3]),
+    "none-reductions": ("reductions", None, None),
 }
 
 
@@ -74,8 +78,11 @@ def test_malformed_query_entry_refused(method, case):
     assert solver.query(QUERY["counts"], QUERY["reductions"])
     field, row, bad = MALFORMED[case]
     query = {key: [list(r) for r in rows] for key, rows in QUERY.items()}
-    query[field][row][0] = bad
-    with pytest.raises(ValueError, match="must be ints"):
+    if row is None:
+        query[field], message = bad, "must be rows of ints"
+    else:
+        query[field][row][0], message = bad, "must be ints"
+    with pytest.raises(ValueError, match=message):
         getattr(solver, method)(query["counts"], query["reductions"])
 
 
