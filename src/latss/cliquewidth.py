@@ -41,16 +41,28 @@ without seeds.  The scan takes seed rounds in increasing seed count, so
 the first satisfiable query within a budget uses the fewest seeds of
 any: one scan at budget n answers the minimisation.
 
+The scan starts at a seed floor, a bound below which no cascade meets
+the requirement and every target.  With no threshold 0, a vertex
+active by round latency lies within latency hops of a seed.  So targets
+whose latency-balls are pairwise disjoint need distinct seeds, a target
+whose threshold exceeds its degree counting as its own ball, and s
+seeds activate at most s plus the s largest numbers of vertices that
+can fire within latency hops of one vertex.  Both halves are computed
+once per solver.  The floor skips only seed counts that no cascade
+meets, so the matrices from it on come in the same order, and answers
+and witnesses do not change.
+
 When the scan reaches the first matrix of seed count s, every smaller
-count is refuted, so any s seeds that reach the requirement and every
-target are an optimum.  The scan tries a greedy seed chain S_1 ⊂ S_2 ⊂
-... first.  Each step adds the vertex whose cascade reaches the most
-targets, then the most vertices, ties going to the smallest id.  A
-candidate is scored from the current set's fire rounds, since a new
-seed moves only vertices within latency hops of it, and its score is
-kept until a seed added later moves a vertex near it.  The chain grows
-on demand and stays on the solver, so a budget sweep builds it once.
-If S_s reaches the requirement and every target, its cascade is
+count is refuted, by the floor or by the search, so any s seeds that
+reach the requirement and every target are an optimum.  The scan tries
+a greedy seed chain S_1 ⊂ S_2 ⊂ ... first.  Each step adds the vertex
+whose cascade reaches the most targets, then the most vertices, ties
+going to the smallest id.  A candidate is scored from the current set's
+fire rounds: a new seed moves only vertices within latency hops of it,
+found one hop a round from those that fired the round before.  A score
+is kept until a seed added later moves a vertex near it.  The chain
+grows on demand and stays on the solver, so a budget sweep builds it
+once.  If S_s reaches the requirement and every target, its cascade is
 simulated and written into the memo, one satisfied entry per node, and
 its root counts are returned; otherwise the matrices of count s are
 searched in order.  On dense graphs at a large latency one seed often
@@ -82,6 +94,7 @@ run concurrently on shared inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, product, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -221,8 +234,8 @@ def _gained(grid: Grid, gain: int) -> Grid:
     return tuple(rows)
 
 
-def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
-    """Rows with lo <= row <= hi summing to at most cap, by sum, then lexicographic.
+def _rows_by_sum(lo, hi, cap: int, floor: int) -> Iterator[tuple[int, ...]]:
+    """Rows with lo <= row <= hi summing to floor..cap, by sum, then lexicographic.
 
     Each row steps to the next of its sum: the rightmost entry that can
     grow while the entries after it can still shrink grows by one, and
@@ -234,7 +247,7 @@ def _rows_by_sum(lo, hi, cap: int) -> Iterator[tuple[int, ...]]:
     lo_from = [*accumulate(reversed(lo), initial=0)][::-1]
     hi_from = [*accumulate(reversed(hi), initial=0)][::-1]
     row = list(lo)
-    for total in range(lo_from[0], min(cap, hi_from[0]) + 1):
+    for total in range(max(floor, lo_from[0]), min(cap, hi_from[0]) + 1):
         i, rest = -1, total
         while True:
             for j in range(i + 1, k):
@@ -258,6 +271,21 @@ def _fire_rounds(steps: Sequence[frozenset[int]], n: int, never: int | None) -> 
         for v in step:
             fire[v] = i
     return fire
+
+
+def _layers(
+    adjacency: Sequence[Sequence[int]], sources: Iterable[int], radius: int
+) -> Iterator[set[int]]:
+    """The vertices at each distance 0..radius from the sources, while there are any."""
+    frontier = set(sources)
+    seen = set(frontier)
+    for _ in range(radius):
+        yield frontier
+        frontier = {x for w in frontier for x in adjacency[w]} - seen
+        if not frontier:
+            return
+        seen |= frontier
+    yield frontier
 
 
 def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
@@ -308,6 +336,10 @@ class _GreedyChain:
         self.reach = [(len(targets & empty.final), len(empty.final))]
         # the round each vertex fires under the seeds, latency + 1 for never
         self.fire = _fire_rounds(empty.steps, graph.n, latency + 1)
+        # the vertices that fire at each round; no cascade runs past round n
+        self.rounds: list[set[int]] = [set() for _ in range(min(latency, graph.n) + 1)]
+        for i, step in enumerate(empty.steps):
+            self.rounds[i].update(step)
         # (targets, vertices) newly reached with each vertex as a seed too;
         # None until scored, and again once a new seed may have changed it
         self.gains: list[tuple[int, int] | None] = [None] * graph.n
@@ -325,30 +357,41 @@ class _GreedyChain:
         moved = self._advance(best)
         self.seeds.append(best)
         self.reach.append(tuple(map(add, self.reach[-1], gains[best])))
-        adjacency, near = self.graph.adjacency, set(moved)
         for u, i in moved.items():
+            if fire[u] != never:
+                self.rounds[fire[u]].discard(u)
+            self.rounds[i].add(u)
             fire[u] = i
-        for _ in range(never):
-            near.update([x for w in near for x in adjacency[w]])
-        for v in near:
-            gains[v] = None
+        for layer in _layers(self.graph.adjacency, moved, never):
+            for v in layer:
+                gains[v] = None
 
     def _advance(self, seed: int) -> dict[int, int]:
         """The vertices that fire earlier when ``seed`` joins the seeds, by round.
 
-        Seeds only speed a cascade up, so a vertex fires earlier at round
-        i only beside one that is active by round i - 1 and was not
-        before: the search spreads from the seed one hop a round.
+        A vertex that fires at round i in the new cascade and not at round
+        i - 1 has a neighbour that fired at round i - 1 in the new
+        cascade: one moved there, or one that fired there before and was
+        not moved.  So the search spreads from those alone, one hop a
+        round, and stops once every moved vertex has fired in the current
+        cascade too, since from then on the two cascades agree.
         """
-        fire, adjacency = self.fire, self.graph.adjacency
+        fire, adjacency, rounds = self.fire, self.graph.adjacency, self.rounds
         moved = {seed: 0}
-        for i in range(1, self.latency + 1):
-            ahead = [w for w in moved if fire[w] >= i]
-            if not ahead:
+        fired = [seed]
+        ahead = 1  # moved vertices not yet active in the current cascade
+        for i in range(1, len(rounds)):
+            spread = fired
+            for w in rounds[i - 1]:
+                if w in moved:
+                    ahead -= 1
+                else:
+                    spread.append(w)
+            if not (ahead and spread):  # the cascades agree, or both stopped
                 break
             fired = [
                 u
-                for u in {u for w in ahead for u in adjacency[w]}
+                for u in {u for w in spread for u in adjacency[w]}
                 if fire[u] > i
                 and u not in moved
                 # active neighbours by round i - 1, in the new cascade
@@ -356,6 +399,7 @@ class _GreedyChain:
                 >= self.thresholds[u]
             ]
             moved.update(dict.fromkeys(fired, i))
+            ahead += len(fired)
         return moved
 
 
@@ -404,6 +448,10 @@ class CliqueWidthSolver:
             self.labeled.graph, self.thresholds, latency, self.targets
         )
         self._chain_counts: dict[int, CountMatrix] = {}
+        # the two halves of the seed floor, each made on first use and kept
+        # (see _seed_floor)
+        self._packed: int | None = None
+        self._reach_caps: list[int] | None = None
 
     # -- expression-tree tables ------------------------------------------
 
@@ -681,12 +729,14 @@ class CliqueWidthSolver:
 
     # -- root-side scanning -------------------------------------------------
 
-    def _root_counts(self, seed_cap: int, min_total: int) -> Iterator[CountMatrix]:
+    def _root_counts(
+        self, seed_cap: int, min_total: int, seed_floor: int
+    ) -> Iterator[CountMatrix]:
         """Admissible root count matrices, by seed count, then lexicographic.
 
         Each column sum lies between the targets and the size of its
-        root label class; the seed row sums to at most ``seed_cap`` and
-        the whole matrix to at least ``min_total``.  A row i >= 1 that
+        root label class; the seed row sums to ``seed_floor..seed_cap``
+        and the whole matrix to at least ``min_total``.  A row i >= 1 that
         sums to zero ends the cascade, so every later row is zero.  Row
         i >= 1 of a class is at most its bound at round i with no
         reduction (see :meth:`_exceeds_bound`) less the class total of
@@ -701,7 +751,7 @@ class CliqueWidthSolver:
             if i < rows - 1:
                 need = zero_row
             if i == 0:
-                return _rows_by_sum(need, left, seed_cap)
+                return _rows_by_sum(need, left, seed_cap, seed_floor)
             hi = (
                 min(c, grid[min(total, len(grid) - 1)][0] - f)
                 for c, f, grid in zip(left, fired, bounds)
@@ -745,13 +795,16 @@ class CliqueWidthSolver:
     def _scan(self, budget: int, requirement: int):
         """The satisfiable root counts with the fewest seeds, or None.
 
-        At the first matrix of each seed count every smaller count is
-        refuted, so the greedy chain's set of that size answers when its
-        cascade does; otherwise the matrices of that count are searched.
+        The scan starts at the seed floor, below which no cascade meets
+        the requirement and every target.  At the first matrix of each
+        seed count every smaller count is refuted, so the greedy chain's
+        set of that size answers when its cascade does; otherwise the
+        matrices of that count are searched.
         """
         root, zero = self.root_index, self._zero
         level = -1
-        for matrix in self._root_counts(budget, requirement):
+        floor = self._seed_floor(requirement)
+        for matrix in self._root_counts(budget, requirement, floor):
             if sum(matrix[0]) > level:
                 level = sum(matrix[0])
                 counts = self._chain_answer(level, requirement)
@@ -761,6 +814,68 @@ class CliqueWidthSolver:
             if self._gamma(root, counts, zero):
                 return counts
         return None
+
+    # -- bounds on the optimum --------------------------------------------
+
+    def _seed_floor(self, requirement: int) -> int:
+        """A lower bound on the seeds of a cascade meeting the requirement and targets.
+
+        With no threshold 0, a vertex active by round latency lies within
+        latency hops of a seed, and a target whose threshold exceeds its
+        degree must be a seed itself.  So targets with pairwise disjoint
+        regions, the target alone when it is forced and its latency-ball
+        otherwise, need distinct seeds; they are packed greedily.  And s
+        seeds activate at most s + the s largest c(v), c(v) counting the
+        vertices u != v within latency hops of v that can fire
+        (t(u) <= deg u).  Each half is made on first use and kept, like
+        the chain, and walks each ball once or twice, never past latency
+        hops.  A threshold 0 fires without a seed nearby: the floor is 0.
+        """
+        if 0 in self.thresholds:
+            return 0
+        graph, latency = self.labeled.graph, self.latency
+        adjacency, thresholds = graph.adjacency, self.thresholds
+        if self._packed is None:
+            # forced targets first, then the others by ascending ball size;
+            # a ball is walked once to be sized and again, until it meets
+            # one taken, to be packed
+            forced = {v for v in self.targets if thresholds[v] > len(adjacency[v])}
+            sized = sorted(
+                (sum(map(len, _layers(adjacency, (v,), latency))), v)
+                for v in self.targets - forced
+            )
+            taken = set(forced)
+            self._packed = len(forced)
+            for _, v in sized:
+                ball: set[int] = set()
+                for layer in _layers(adjacency, (v,), latency):
+                    if not taken.isdisjoint(layer):
+                        break
+                    ball |= layer
+                else:
+                    taken |= ball
+                    self._packed += 1
+        if requirement <= self._packed:  # the other half is at most requirement
+            return self._packed
+        if self._reach_caps is None:
+            can_fire = [t <= len(nb) for t, nb in zip(thresholds, adjacency)]
+            spread = sorted(
+                (
+                    sum(
+                        can_fire[u]
+                        for layer in _layers(adjacency, (v,), latency)
+                        for u in layer
+                    )
+                    - can_fire[v]
+                    for v in range(graph.n)
+                ),
+                reverse=True,
+            )
+            # caps[s]: the most vertices s seeds activate
+            self._reach_caps = [
+                *accumulate(spread, lambda cap, c: cap + 1 + c, initial=0)
+            ]
+        return max(self._packed, bisect_left(self._reach_caps, requirement))
 
     # -- the greedy seed chain ----------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import chain, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from latss.cliquewidth import (
     verify_schedule,
 )
 from latss.graphs import (
+    Graph,
     Instance,
     path_graph,
     random_tree,
@@ -40,7 +42,12 @@ from latss.kexpr import (
     star_expression,
     tree_expression,
 )
-from latss.oracle import brute_decision, brute_min_target, brute_select_targets
+from latss.oracle import (
+    _first_seed,
+    brute_decision,
+    brute_min_target,
+    brute_select_targets,
+)
 
 from strategies import expressions, random_expression, relabeled
 
@@ -313,11 +320,13 @@ class TestDecideSelect:
             lo = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
             hi = [x + rng.randint(0, 3) for x in lo]
             cap = rng.randint(0, sum(hi) + 1)
+            floor = rng.randint(0, cap + 1)
             boxed = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
             want = sorted(
-                (row for row in boxed if sum(row) <= cap), key=lambda r: (sum(r), r)
+                (row for row in boxed if floor <= sum(row) <= cap),
+                key=lambda r: (sum(r), r),
             )
-            assert list(_rows_by_sum(lo, hi, cap)) == want
+            assert list(_rows_by_sum(lo, hi, cap, floor)) == want
 
     def test_agrees_with_brute_force(self):
         # trees, then width-4 expressions: there a satisfiable root matrix
@@ -640,6 +649,136 @@ class TestGreedyChain:
         assert len(chosen) == 1 and chosen == set(solver._chain.seeds[:1])
         entries = sum(len(solver.queries(x)) for x in range(solver.node_count))
         assert entries <= 200  # 709,368 without the chain
+
+    def test_advance_matches_a_fresh_simulation(self):
+        # after every step, each candidate's moved vertices are those that
+        # fire earlier, at the round a simulation from scratch gives them
+        rng = random.Random(71)
+        for _ in range(60):
+            expr = random_expression(rng, max_vertices=10, k=3)
+            graph = evaluate(expr).graph
+            n = graph.n
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
+            lam = rng.randint(1, n)
+            chain = CliqueWidthSolver(expr, thr, lam)._chain
+            while True:
+                steps = simulate(graph, thr, chain.seeds, lam).steps
+                fire = [lam + 1] * n
+                for i, step in enumerate(steps):
+                    for u in step:
+                        fire[u] = i
+                assert chain.fire == fire
+                assert chain.rounds == [
+                    {u for u in range(n) if fire[u] == i}
+                    for i in range(len(chain.rounds))
+                ]
+                if len(chain.seeds) == n:
+                    break
+                for v in set(range(n)).difference(chain.seeds):
+                    steps = simulate(graph, thr, [*chain.seeds, v], lam).steps
+                    want = {u: i for i, step in enumerate(steps) for u in step}
+                    moved = {u: i for u, i in want.items() if i < fire[u]}
+                    assert chain._advance(v) == moved
+                chain.grow()
+
+    def test_advance_spreads_from_the_last_round_alone(self):
+        # a unit path at latency n: a seed's cascade crosses the path one
+        # hop a round, so spreading from every moved vertex each round
+        # would read O(n^2) adjacency rows per candidate
+        class Reads(tuple):
+            count = 0
+
+            def __getitem__(self, i):
+                Reads.count += 1
+                return tuple.__getitem__(self, i)
+
+        n = 60
+        chain = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))._chain
+        chain.graph = SimpleNamespace(n=n, adjacency=Reads(chain.graph.adjacency))
+        assert len(chain._advance(0)) == n
+        assert Reads.count <= 4 * n  # 1,889 spreading from every moved vertex
+        Reads.count = 0
+        chain.grow()
+        assert chain.seeds == [0]
+        assert Reads.count <= 4 * n * n  # 153,109 spreading from every moved one
+
+
+class TestSeedFloor:
+    """The root scan starts at a seed count every cascade needs."""
+
+    def instances(self, seed, count):
+        # random expressions (isolated vertices among them) and forests,
+        # thresholds from 0 to past degree + 1, latency from 0
+        rng = random.Random(seed)
+        for i in range(count):
+            if i % 3:
+                expr = random_expression(rng, max_vertices=8, k=3)
+            else:
+                tree = random_tree(rng.randint(1, 8), rng)
+                kept = [e for e in tree.edges if rng.random() < 0.7]
+                expr = tree_expression(Graph(tree.n, kept))
+            graph = evaluate(expr).graph
+            thr = tuple(rng.randint(0, graph.degree(v) + 2) for v in range(graph.n))
+            if rng.random() < 0.5:  # no threshold 0, where the floor applies
+                thr = tuple(max(t, 1) for t in thr)
+            targets = {v for v in range(graph.n) if rng.random() < 0.5}
+            yield expr, graph, thr, rng.randint(0, 3), targets
+
+    def test_never_above_the_fewest_seeds(self):
+        for expr, graph, thr, lam, targets in self.instances(61, 120):
+            n = graph.n
+            solver = CliqueWidthSolver(expr, thr, lam, targets)
+            fewest = len(brute_min_target(graph, thr, lam, targets))
+            assert solver._seed_floor(0) <= fewest
+            plain = CliqueWidthSolver(expr, thr, lam)
+            for req in range(n + 1):
+                found = _first_seed(graph, thr, lam, n, (), req)
+                if found is not None:
+                    assert plain._seed_floor(req) <= len(found)
+                found = _first_seed(graph, thr, lam, n, targets, req)
+                if found is not None:
+                    assert solver._seed_floor(req) <= len(found)
+
+    def test_no_root_matrix_below_the_floor_is_queried(self):
+        for expr, graph, thr, lam, targets in self.instances(67, 60):
+            solver = CliqueWidthSolver(expr, thr, lam, targets)
+            asked = 0
+            for req in range(graph.n + 1):
+                solver.select(graph.n, req)
+                made = solver.queries(solver.root_index)[asked:]
+                asked += len(made)
+                floor = solver._seed_floor(req)
+                assert all(sum(row[0] for row in c) >= floor for c, _ in made)
+        # the leaves need threshold 2 with one neighbour: both are seeds, so
+        # the scan starts at two seeds, and the chain's {0, 1} misses
+        expr = tree_expression(star_graph(3))
+        solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
+        assert solver._seed_floor(0) == 2
+        assert solver.select(3) == {1, 2}
+        seeds = [sum(row[0] for row in c) for c, _ in solver.queries(solver.root_index)]
+        assert seeds and min(seeds) == 2
+
+    def test_a_budget_below_the_floor_asks_nothing(self):
+        n = 12
+        solver = CliqueWidthSolver(path_expression(n), (1,) * n, 1, range(n))
+        assert solver._seed_floor(0) == 4
+        assert solver.select(3) is None
+        assert all(not solver.queries(x) for x in range(solver.node_count))
+        assert solver._chain.seeds == []
+
+    def test_memo_ceiling_on_a_unit_path(self):
+        n = 12
+        solver = CliqueWidthSolver(path_expression(n), (1,) * n, 1, range(n))
+        assert len(solver.select(n)) == 4
+        entries = sum(len(solver.queries(x)) for x in range(solver.node_count))
+        assert entries <= 60  # 269 when the scan starts at no seeds
+
+    def test_threshold_zero_leaves_no_floor(self):
+        # the middle vertex fires at round 1 with no seed, its neighbours at
+        # round 2: no seed is needed, though no target is a seed's neighbour
+        solver = CliqueWidthSolver(path_expression(3), (1, 0, 1), 2, {1})
+        assert solver._seed_floor(3) == 0
+        assert solver.select(3, 3) == frozenset()
 
 
 class TestWitnesses:
