@@ -62,9 +62,9 @@ fire rounds: a new seed moves only vertices within latency hops of it,
 found one hop a round from those that fired the round before.  A score
 is kept until a seed added later moves a vertex near it.  The chain
 grows on demand and stays on the solver, so a budget sweep builds it
-once.  If S_s reaches the requirement and every target, its cascade is
-simulated and written into the memo, one satisfied entry per node, and
-its root counts are returned; otherwise the matrices of count s are
+once.  If S_s reaches the requirement and every target, by the tally
+the scores add up to, S_s is the answer and the memo is left alone; it
+holds only what the DP proved.  Otherwise the matrices of count s are
 searched in order.  On dense graphs at a large latency one seed often
 suffices, and the search at the optimum, nearly all of the time there,
 never runs.
@@ -264,15 +264,6 @@ def _rows_by_sum(lo, hi, cap: int, floor: int) -> Iterator[tuple[int, ...]]:
             rest -= 1
 
 
-def _fire_rounds(steps: Sequence[frozenset[int]], n: int, never: int | None) -> list:
-    """The round each of n vertices fires in a cascade's steps, else ``never``."""
-    fire = [never] * n
-    for i, step in enumerate(steps):
-        for v in step:
-            fire[v] = i
-    return fire
-
-
 def _layers(
     adjacency: Sequence[Sequence[int]], sources: Iterable[int], radius: int
 ) -> Iterator[set[int]]:
@@ -335,11 +326,13 @@ class _GreedyChain:
         # (targets, vertices) reached by the first i seeds, for each i so far
         self.reach = [(len(targets & empty.final), len(empty.final))]
         # the round each vertex fires under the seeds, latency + 1 for never
-        self.fire = _fire_rounds(empty.steps, graph.n, latency + 1)
+        self.fire = [latency + 1] * graph.n
         # the vertices that fire at each round; no cascade runs past round n
         self.rounds: list[set[int]] = [set() for _ in range(min(latency, graph.n) + 1)]
         for i, step in enumerate(empty.steps):
             self.rounds[i].update(step)
+            for v in step:
+                self.fire[v] = i
         # (targets, vertices) newly reached with each vertex as a seed too;
         # None until scored, and again once a new seed may have changed it
         self.gains: list[tuple[int, int] | None] = [None] * graph.n
@@ -442,12 +435,10 @@ class CliqueWidthSolver:
         self._safe: list[int | None] = [None] * len(self._kind)
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
-        # the greedy seed chain, and the root counts of each of its prefixes
-        # written into the memo (see _chain_answer)
+        # the greedy seed chain (see _scan)
         self._chain = _GreedyChain(
             self.labeled.graph, self.thresholds, latency, self.targets
         )
-        self._chain_counts: dict[int, CountMatrix] = {}
         # the two halves of the seed floor, each made on first use and kept
         # (see _seed_floor)
         self._packed: int | None = None
@@ -792,27 +783,31 @@ class CliqueWidthSolver:
             total += active
             rest = options(i + 1, left, need, fired, total)
 
-    def _scan(self, budget: int, requirement: int):
-        """The satisfiable root counts with the fewest seeds, or None.
+    def _scan(self, budget: int, requirement: int) -> frozenset[int] | None:
+        """The fewest seeds within the budget that meet the requirement, or None.
 
         The scan starts at the seed floor, below which no cascade meets
         the requirement and every target.  At the first matrix of each
         seed count every smaller count is refuted, so the greedy chain's
-        set of that size answers when its cascade does; otherwise the
-        matrices of that count are searched.
+        set of that size answers when its tally says it reaches the
+        requirement and every target; otherwise the matrices of that
+        count are searched, and the first satisfiable one's witness gives
+        the seeds.
         """
-        root, zero = self.root_index, self._zero
+        root, zero, chain = self.root_index, self._zero, self._chain
         level = -1
         floor = self._seed_floor(requirement)
         for matrix in self._root_counts(budget, requirement, floor):
             if sum(matrix[0]) > level:
                 level = sum(matrix[0])
-                counts = self._chain_answer(level, requirement)
-                if counts is not None:
-                    return counts
+                while len(chain.seeds) < level:
+                    chain.grow()
+                hit, reached = chain.reach[level]
+                if reached >= requirement and hit == len(self.targets):
+                    return frozenset(chain.seeds[:level])
             counts = tuple(zip(*matrix))
             if self._gamma(root, counts, zero):
-                return counts
+                return self._process(root, counts, zero)[0]
         return None
 
     # -- bounds on the optimum --------------------------------------------
@@ -877,80 +872,6 @@ class CliqueWidthSolver:
             ]
         return max(self._packed, bisect_left(self._reach_caps, requirement))
 
-    # -- the greedy seed chain ----------------------------------------------
-
-    def _chain_answer(self, size: int, requirement: int):
-        """Root counts of the chain's first ``size`` seeds, or None.
-
-        None unless their cascade reaches the requirement and every
-        target.  Then the cascade is written into the memo, one satisfied
-        entry per node, so the root counts are a memo hit and
-        :meth:`reconstruct` returns this very process.
-        """
-        chain = self._chain
-        while len(chain.seeds) < size:
-            chain.grow()
-        hit, reached = chain.reach[size]
-        if reached < requirement or hit < len(self.targets):
-            return None
-        counts = self._chain_counts.get(size)
-        if counts is None:
-            run = simulate(
-                self.labeled.graph, self.thresholds, chain.seeds[:size], self.latency
-            )
-            counts = self._chain_counts[size] = self._write_cascade(run.steps)
-        return counts
-
-    def _write_cascade(self, steps: Sequence[frozenset[int]]) -> CountMatrix:
-        """Store a real cascade as satisfied memo entries; its root counts.
-
-        Each node's counts are composed bottom-up like the class sizes,
-        its reductions top-down from the root's zeros by the rules of
-        :meth:`_expand`, and its witness is its child queries; a leaf's
-        is the round it fires.
-        """
-        fire = _fire_rounds(steps, self.labeled.graph.n, None)
-        kinds, infos = self._kind, self._info
-        zero_row = (0,) * (self.latency + 1)
-        counts: list[CountMatrix] = []
-        for kind, info in zip(kinds, infos):
-            if kind == "leaf":
-                vid, l0 = info
-                rows = [zero_row] * self.k
-                if fire[vid] is not None:
-                    rows[l0] = tuple(int(i == fire[vid]) for i in range(len(zero_row)))
-                counts.append(tuple(rows))
-            elif kind == "union":
-                left, right = info
-                counts.append(tuple(map(_add, counts[left], counts[right])))
-            elif kind == "eta":
-                counts.append(counts[info[0]])
-            else:
-                child, la, lb = info
-                rows = list(counts[child])
-                rows[lb] = _add(rows[la], rows[lb])
-                rows[la] = zero_row
-                counts.append(tuple(rows))
-        reds: list = [None] * len(kinds)
-        reds[-1] = self._zero
-        for node in reversed(range(len(kinds))):
-            kind, info, red = kinds[node], infos[node], reds[node]
-            if kind == "leaf":
-                witness = (fire[info[0]],)
-            elif kind == "union":
-                for child in info:
-                    reds[child] = red
-                witness = tuple((child, counts[child], red) for child in info)
-            else:
-                child, la, lb = info
-                if kind == "eta":
-                    reds[child] = self._eta_reductions(counts[node], red, la, lb)
-                else:
-                    reds[child] = (*red[:la], red[lb], *red[la + 1 :])
-                witness = ((child, counts[child], reds[child]),)
-            self._memo[node][counts[node], red] = witness
-        return counts[-1]
-
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
         key = self._entry(self.root_index, counts, reductions)
@@ -991,15 +912,16 @@ class CliqueWidthSolver:
         The witness has the fewest seeds of any within the budget, so
         ``select(n)`` is a minimum target set.
         """
-        counts = self._scan(budget, requirement)
-        if counts is None:
+        seeds = self._scan(budget, requirement)
+        if seeds is None:
             return None
-        seeds = self.reconstruct(counts, self._zero)[0]
         final = simulate(
             self.labeled.graph, self.thresholds, seeds, self.latency
         ).final
-        assert len(seeds) <= budget and len(final) >= requirement
-        assert self.targets <= final
+        if len(seeds) > budget or len(final) < requirement or not self.targets <= final:
+            raise AssertionError(
+                "the selected seeds miss the budget, the requirement or a target"
+            )
         return seeds
 
     def reconstruct(

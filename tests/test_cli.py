@@ -420,6 +420,26 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "internal error: RuntimeError: injected" in captured.err
 
+    def test_a_false_chain_tally_exits_three(self, capsys, tmp_path, monkeypatch):
+        # every chain prefix claims to reach all: the star's leaves are forced
+        # seeds, so a prefix of two that holds the centre misses a leaf, and
+        # select's own simulation, not an assert, reports it
+        grow = cliquewidth._GreedyChain.grow
+
+        def claims_all(self):
+            grow(self)
+            self.reach[-1] = (len(self.targets), self.graph.n)
+
+        monkeypatch.setattr(cliquewidth._GreedyChain, "grow", claims_all)
+        doc = {"n": 3, "edges": [[0, 1], [0, 2]], "thresholds": [2, 2, 2],
+               "lambda": 1, "targets": [0, 1, 2]}
+        path = write(tmp_path, doc)
+        code = main(["solve", "--method", "cwd", "--instance", path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "internal error: AssertionError" in captured.err
+
     def test_output_roundtrips(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)
         out_path = tmp_path / "result.json"

@@ -647,8 +647,41 @@ class TestGreedyChain:
         solver = CliqueWidthSolver(expr, (1,) * 12, 12, range(12))
         chosen = solver.select(12)
         assert len(chosen) == 1 and chosen == set(solver._chain.seeds[:1])
+        # the chain's set is the answer as it is, and the memo holds only
+        # what the DP proved: 47 entries when the chain's cascade was written
+        # into it, 709,368 without the chain
         entries = sum(len(solver.queries(x)) for x in range(solver.node_count))
-        assert entries <= 200  # 709,368 without the chain
+        assert entries == 0
+
+    def test_descending_requirements_answer_as_fresh_solvers(self):
+        # a sweep from the top grows the chain past the levels that later
+        # answer; a reused solver must still answer as a new one does
+        rng = random.Random(73)
+        for _ in range(40):
+            expr = random_expression(rng, max_vertices=8, k=3)
+            graph = evaluate(expr).graph
+            n = graph.n
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
+            lam = rng.randint(0, 3)
+            targets = {v for v in range(n) if rng.random() < 0.3}
+            solver = CliqueWidthSolver(expr, thr, lam, targets)
+            for req in reversed(range(n + 1)):
+                budget = rng.randint(0, n)
+                fresh = CliqueWidthSolver(expr, thr, lam, targets)
+                assert solver.select(n, req) == fresh.select(n, req)
+                fresh = CliqueWidthSolver(expr, thr, lam, targets)
+                assert solver.decide(budget, req) == fresh.decide(budget, req)
+
+    def test_a_false_tally_is_an_internal_error(self):
+        # the star's chain prefix {0, 1} misses leaf 2; a tally claiming it
+        # reaches every vertex must not pass as an answer, even under -O
+        expr = tree_expression(star_graph(3))
+        solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
+        solver._chain.grow()
+        solver._chain.grow()
+        solver._chain.reach[2] = (3, 3)
+        with pytest.raises(AssertionError, match="miss"):
+            solver.select(3)
 
     def test_advance_matches_a_fresh_simulation(self):
         # after every step, each candidate's moved vertices are those that
@@ -836,8 +869,10 @@ class TestWitnesses:
         assert solver.k == 3
         solver.query([list(row) for row in counts], [list(row) for row in reds])
         assert solver.queries(solver.root_index) == [(counts, reds)]
-        for budget in range(5):
-            solver.decide(budget, 4)
+        # seeding every vertex is satisfiable: each class's size at round 0
+        sizes = [evaluate(expr).labels.count(lab) for lab in range(1, solver.k + 1)]
+        every = tuple((size,) + (0,) * latency for size in sizes)
+        assert solver.query(every, ((0,) * latency,) * solver.k)
         witnessed = list(solver.witnessed_entries())
         assert any(node == solver.root_index for node, _, _ in witnessed)
         for node, counts, reds in witnessed:

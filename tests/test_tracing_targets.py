@@ -54,7 +54,7 @@ def test_solver_exposes_what_the_tracer_tallies():
     # the tracer sums these over every solver an op builds
     expr = latss.kexpr.parse("eta(2,1, U(2(v), 1(u)))")
     solver = latss.cliquewidth.CliqueWidthSolver(expr, (1, 1), 1)
-    assert solver.decide(1, 2)
+    assert solver.query(((1, 0), (0, 1)), ((0,), (0,)))
     entries = sum(len(solver.queries(node)) for node in range(solver.node_count))
     witnessed = list(solver.witnessed_entries())
     assert solver.node_count == 4
