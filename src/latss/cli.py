@@ -35,6 +35,7 @@ from typing import Any, Sequence
 
 from . import cliquewidth, kexpr, oracle, trees
 from .graphs import (
+    ActivationTrace,
     Graph,
     Instance,
     _check_latency,
@@ -59,8 +60,14 @@ class InstanceError(ValueError):
 # instance documents
 
 
-def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
-    """Validate a JSON document and build the instance (plus expression)."""
+def document_to_instance(
+    doc: dict,
+) -> tuple[Instance, kexpr.KExpr | None, kexpr.LabeledGraph | None]:
+    """Validate a JSON document and build the instance.
+
+    Also returns the document's expression and its evaluation, checked
+    against the instance's graph, or None twice when it has none.
+    """
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
 
@@ -97,7 +104,7 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
     except ValueError as exc:
         raise InstanceError(str(exc)) from exc
 
-    expression = None
+    expression = labeled = None
     if "kexpr" in doc:
         text = need("kexpr", str)
         try:
@@ -109,7 +116,7 @@ def document_to_instance(doc: dict) -> tuple[Instance, kexpr.KExpr | None]:
             raise InstanceError(
                 "kexpr evaluation does not match n/edges vertex-for-vertex"
             )
-    return instance, expression
+    return instance, expression, labeled
 
 
 def _read_json(path: str) -> Any:
@@ -123,7 +130,9 @@ def _read_json(path: str) -> Any:
         raise InstanceError(f"{path} is not readable JSON: {exc}") from exc
 
 
-def load_instance(path: str) -> tuple[Instance, kexpr.KExpr | None]:
+def load_instance(
+    path: str,
+) -> tuple[Instance, kexpr.KExpr | None, kexpr.LabeledGraph | None]:
     return document_to_instance(_read_json(path))
 
 
@@ -161,7 +170,7 @@ def _csv_ints(text: str, what: str) -> list[int]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    instance, _ = load_instance(args.instance)
+    instance = load_instance(args.instance)[0]
     seed = _csv_ints(args.seed, "seed")
     start = time.perf_counter()
     trace = simulate(instance.graph, instance.thresholds, seed, instance.latency)
@@ -186,7 +195,9 @@ def _result_doc(
     selection: frozenset[int] | None,
     instance: Instance,
     elapsed: float,
+    trace: ActivationTrace | None = None,
 ) -> dict:
+    """The solve result; ``trace``, when given, is the selection's simulation."""
     doc: dict[str, Any] = {
         "command": "solve",
         "solver": method,
@@ -198,15 +209,16 @@ def _result_doc(
         "wall_time_s": elapsed,
     }
     if selection is not None:
-        trace = simulate(
-            instance.graph, instance.thresholds, selection, instance.latency
-        )
+        if trace is None:
+            trace = simulate(
+                instance.graph, instance.thresholds, selection, instance.latency
+            )
         doc["round_sizes"] = list(accumulate(map(len, trace.deltas)))
     return doc
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance, expression = load_instance(args.instance)
+    instance, expression, labeled = load_instance(args.instance)
     variant = instance.variant
     if args.variant and args.variant != variant:
         raise InstanceError(
@@ -219,6 +231,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = graph.n if instance.budget is None else instance.budget
     requirement = instance.requirement or 0
     targets = instance.targets or ()
+    trace = None
     start = time.perf_counter()
 
     if method == "tree":
@@ -249,13 +262,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             [thresholds[v] for v in order],
             latency,
             [i for i, v in enumerate(order) if v in targets],
+            _labeled=labeled,
         )
         selection = solver.select(budget, requirement)
         if selection is not None:
             selection = frozenset(order[v] for v in selection)
+            # the simulation select checked; its round sizes do not
+            # depend on the vertex order
+            trace = solver._trace
 
     elapsed = time.perf_counter() - start
-    _emit(_result_doc(method, variant, selection, instance, elapsed), args.output)
+    _emit(
+        _result_doc(method, variant, selection, instance, elapsed, trace),
+        args.output,
+    )
     return EXIT_OK if selection is not None else EXIT_INFEASIBLE
 
 

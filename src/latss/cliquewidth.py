@@ -47,10 +47,9 @@ active by round latency lies within latency hops of a seed.  So targets
 whose latency-balls are pairwise disjoint need distinct seeds, a target
 whose threshold exceeds its degree counting as its own ball, and s
 seeds activate at most s plus the s largest numbers of vertices that
-can fire within latency hops of one vertex.  Both halves are computed
-once per solver.  The floor skips only seed counts that no cascade
-meets, so the matrices from it on come in the same order, and answers
-and witnesses do not change.
+can fire within latency hops of one vertex.  The floor skips only seed
+counts that no cascade meets, so the matrices from it on come in the
+same order, and answers and witnesses do not change.
 
 When the scan reaches the first matrix of seed count s, every smaller
 count is refuted, by the floor or by the search, so any s seeds that
@@ -60,14 +59,25 @@ whose cascade reaches the most targets, then the most vertices, ties
 going to the smallest id.  A candidate is scored from the current set's
 fire rounds: a new seed moves only vertices within latency hops of it,
 found one hop a round from those that fired the round before.  A score
-is kept until a seed added later moves a vertex near it.  The chain
-grows on demand and stays on the solver, so a budget sweep builds it
-once.  If S_s reaches the requirement and every target, by the tally
-the scores add up to, S_s is the answer and the memo is left alone; it
-holds only what the DP proved.  Otherwise the matrices of count s are
-searched in order.  On dense graphs at a large latency one seed often
-suffices, and the search at the optimum, nearly all of the time there,
-never runs.
+is kept until a seed added later moves a vertex near it.  If S_s
+reaches the requirement and every target, by the tally the scores add
+up to, S_s is the answer and the memo is left alone; it holds only what
+the DP proved.  Otherwise the matrices of count s are searched in
+order.  On dense graphs at a large latency one seed often suffices, and
+the search at the optimum, nearly all of the time there, never runs.
+
+The floor and the chain read only the graph, the thresholds, the
+latency and the targets, never the expression.  One bounds object per
+solver holds both, each made on first use and kept, so a budget sweep
+makes them once.  The scan asks it before anything else: a floor above
+the budget refuses, and a chain prefix of the floor's size that meets
+the requirement and every target is the answer, the same set the root
+scan would return, since that cascade's own count matrix is admissible
+at the floor.  Only otherwise does the solver build its node tables,
+memo and caches, on the DP's first use; ``query`` and ``reconstruct``
+build them too.  The constructor walks the expression once for the
+width and well-formedness verdict, and once more to evaluate it unless
+the caller passes the evaluation it already made.
 
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
@@ -100,6 +110,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
+    ActivationTrace,
     Graph,
     _check_latency,
     _vertex_set,
@@ -396,6 +407,111 @@ class _GreedyChain:
         return moved
 
 
+class _Bounds:
+    """Bounds on the optimum from the graph, thresholds, latency and targets.
+
+    The seed floor is a lower bound on the seeds of any cascade that meets
+    a requirement and every target; the greedy chain's prefixes are seed
+    sets that may meet it.  Neither reads the expression.  Each part is
+    made on first use and kept, so a budget sweep makes it once.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        thresholds: Sequence[int],
+        latency: int,
+        targets: frozenset[int],
+    ) -> None:
+        self.graph, self.thresholds = graph, thresholds
+        self.latency, self.targets = latency, targets
+        self._chain: _GreedyChain | None = None
+        # the two halves of the seed floor (see seed_floor)
+        self._packed: int | None = None
+        self._reach_caps: list[int] | None = None
+
+    @property
+    def chain(self) -> _GreedyChain:
+        if self._chain is None:
+            self._chain = _GreedyChain(
+                self.graph, self.thresholds, self.latency, self.targets
+            )
+        return self._chain
+
+    def chain_seeds(self, size: int, requirement: int) -> frozenset[int] | None:
+        """The chain's first ``size`` seeds if, by its tally, they meet it all.
+
+        That is, the requirement and every target; None when they do not.
+        """
+        chain = self.chain
+        while len(chain.seeds) < size:
+            chain.grow()
+        hit, reached = chain.reach[size]
+        if reached >= requirement and hit == len(self.targets):
+            return frozenset(chain.seeds[:size])
+        return None
+
+    def seed_floor(self, requirement: int) -> int:
+        """A lower bound on the seeds of a cascade meeting the requirement and targets.
+
+        With no threshold 0, a vertex active by round latency lies within
+        latency hops of a seed, and a target whose threshold exceeds its
+        degree must be a seed itself.  So targets with pairwise disjoint
+        regions, the target alone when it is forced and its latency-ball
+        otherwise, need distinct seeds; they are packed greedily.  And s
+        seeds activate at most s + the s largest c(v), c(v) counting the
+        vertices u != v within latency hops of v that can fire
+        (t(u) <= deg u).  Each half is made on first use and kept, like
+        the chain, and walks each ball once or twice, never past latency
+        hops.  A threshold 0 fires without a seed nearby: the floor is 0.
+        """
+        if 0 in self.thresholds:
+            return 0
+        graph, latency = self.graph, self.latency
+        adjacency, thresholds = graph.adjacency, self.thresholds
+        if self._packed is None:
+            # forced targets first, then the others by ascending ball size;
+            # a ball is walked once to be sized and again, until it meets
+            # one taken, to be packed
+            forced = {v for v in self.targets if thresholds[v] > len(adjacency[v])}
+            sized = sorted(
+                (sum(map(len, _layers(adjacency, (v,), latency))), v)
+                for v in self.targets - forced
+            )
+            taken = set(forced)
+            self._packed = len(forced)
+            for _, v in sized:
+                ball: set[int] = set()
+                for layer in _layers(adjacency, (v,), latency):
+                    if not taken.isdisjoint(layer):
+                        break
+                    ball |= layer
+                else:
+                    taken |= ball
+                    self._packed += 1
+        if requirement <= self._packed:  # the other half is at most requirement
+            return self._packed
+        if self._reach_caps is None:
+            can_fire = [t <= len(nb) for t, nb in zip(thresholds, adjacency)]
+            spread = sorted(
+                (
+                    sum(
+                        can_fire[u]
+                        for layer in _layers(adjacency, (v,), latency)
+                        for u in layer
+                    )
+                    - can_fire[v]
+                    for v in range(graph.n)
+                ),
+                reverse=True,
+            )
+            # caps[s]: the most vertices s seeds activate
+            self._reach_caps = [
+                *accumulate(spread, lambda cap, c: cap + 1 + c, initial=0)
+            ]
+        return max(self._packed, bisect_left(self._reach_caps, requirement))
+
+
 class CliqueWidthSolver:
     """Memoized query evaluator over one expression/thresholds/latency/targets.
 
@@ -411,42 +527,49 @@ class CliqueWidthSolver:
         thresholds: Sequence[int],
         latency: int,
         targets: Iterable[int] = (),
+        *,
+        _labeled: LabeledGraph | None = None,
     ) -> None:
         # the checked pass and evaluate's walk, which also finds redundant
-        # insertions, are the constructor's only traversals
-        post, self.k = _dense_labels(*_checked_postorder(expr))
-        self.labeled = evaluate(post[-1])
-        if self.labeled.violations:
-            raise IrredundancyError(list(self.labeled.violations))
+        # insertions, are the constructor's only traversals; a caller that
+        # has evaluate(expr) already passes it as _labeled, which stands in
+        # for the walk unless the labels are renumbered
+        post, width = _checked_postorder(expr)
+        post, self.k = _dense_labels(post, width)
+        if _labeled is None or self.k != width:
+            _labeled = evaluate(post[-1])
+        self.labeled = _labeled
+        if _labeled.violations:
+            raise IrredundancyError(list(_labeled.violations))
         _check_latency(latency)
         self.latency = latency
-        self.thresholds = normalize_thresholds(
-            self.labeled.graph, thresholds
-        )
-        self.targets = _vertex_set(self.labeled.graph.n, targets, "target")
+        self.thresholds = normalize_thresholds(_labeled.graph, thresholds)
+        self.targets = _vertex_set(_labeled.graph.n, targets, "target")
         self.rcap = max(self.thresholds, default=0)
-        self._name_to_vid = {
-            name: v for v, name in enumerate(self.labeled.names)
-        }
-        self._zero = ((0,) * latency,) * self.k
-        self._build_nodes(post)
-        self._memo: list[dict] = [{} for _ in self._kind]
+        self._nodes = post
+        self.root_index = len(post) - 1
+        self._bounds = _Bounds(_labeled.graph, self.thresholds, latency, self.targets)
+        # the DP's node tables, memo and caches, made on its first use (see
+        # _build); None until then
+        self._memo: list[dict] | None = None
+        # the simulation that checked select's last answer
+        self._trace: ActivationTrace | None = None
+
+    # -- expression-tree tables ------------------------------------------
+
+    def _build(self) -> None:
+        """Make the node tables, the memo and the DP's caches, once."""
+        if self._memo is not None:
+            return
+        self._build_nodes()
+        self._zero = ((0,) * self.latency,) * self.k
+        self._memo = [{} for _ in self._kind]
         # per node, set on its first memo miss (see _exceeds_bound)
         self._safe: list[int | None] = [None] * len(self._kind)
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
-        # the greedy seed chain (see _scan)
-        self._chain = _GreedyChain(
-            self.labeled.graph, self.thresholds, latency, self.targets
-        )
-        # the two halves of the seed floor, each made on first use and kept
-        # (see _seed_floor)
-        self._packed: int | None = None
-        self._reach_caps: list[int] | None = None
 
-    # -- expression-tree tables ------------------------------------------
-
-    def _build_nodes(self, post: list[KExpr]) -> None:
+    def _build_nodes(self) -> None:
         k = self.k
         kind: list[str] = []
         info: list[tuple] = []
@@ -458,9 +581,9 @@ class CliqueWidthSolver:
         width = self.rcap + 1
         empty = ([0] * width,)
         stack: list[int] = []
-        for idx, node in enumerate(post):
+        vid = 0  # evaluated ids follow the leaves' post-order
+        for idx, node in enumerate(self._nodes):
             if isinstance(node, Leaf):
-                vid = self._name_to_vid[node.name]
                 kind.append("leaf")
                 info.append((vid, node.label - 1))
                 one_hot = tuple(int(l == node.label - 1) for l in range(k))
@@ -469,6 +592,7 @@ class CliqueWidthSolver:
                 t = self.thresholds[vid]
                 alone = ([0] * t + [1] * (width - t),)
                 bounds.append(tuple(alone if x else empty for x in one_hot))
+                vid += 1
             elif isinstance(node, Union):
                 right = stack.pop()
                 left = stack.pop()
@@ -505,13 +629,11 @@ class CliqueWidthSolver:
                 grids[la] = empty
                 bounds.append(tuple(grids))
             stack.append(idx)
-        self._nodes = post
         self._kind = kind
         self._info = info
         self._label_counts = label_counts
         self._target_counts = target_counts
-        self._bounds = bounds
-        self.root_index = len(post) - 1
+        self._grids = bounds
 
     @property
     def node_count(self) -> int:
@@ -522,23 +644,23 @@ class CliqueWidthSolver:
     ) -> tuple[LabeledGraph, tuple[int, ...], dict[int, int]]:
         """Labeled subgraph at a node, its thresholds, and a global->local id map."""
         local = evaluate(self._nodes[node])
-        locals_thr = tuple(
-            self.thresholds[self._name_to_vid[name]] for name in local.names
-        )
-        to_local = {
-            self._name_to_vid[name]: i for i, name in enumerate(local.names)
-        }
+        to_global = {name: v for v, name in enumerate(self.labeled.names)}
+        locals_thr = tuple(self.thresholds[to_global[name]] for name in local.names)
+        to_local = {to_global[name]: i for i, name in enumerate(local.names)}
         return local, locals_thr, to_local
 
     def queries(self, node: int) -> list[tuple[CountMatrix, ReductionMatrix]]:
         """All (counts, reductions) pairs evaluated so far at a node."""
+        if self._memo is None:  # nothing asked yet: no tables to build
+            self._nodes[node]  # a node outside the tree still raises
+            return []
         return list(self._memo[node])
 
     def witnessed_entries(
         self,
     ) -> Iterator[tuple[int, CountMatrix, ReductionMatrix]]:
         """Every satisfiable memo entry, across all nodes."""
-        for idx, memo in enumerate(self._memo):
+        for idx, memo in enumerate(self._memo or ()):
             for (counts, reds), value in list(memo.items()):
                 if value:
                     yield idx, counts, reds
@@ -611,13 +733,13 @@ class CliqueWidthSolver:
                     (a for a, row in enumerate(grid) if row[0] >= size),
                     self.labeled.graph.n + 1,
                 )
-                for grid, size in zip(self._bounds[node], self._label_counts[node])
+                for grid, size in zip(self._grids[node], self._label_counts[node])
             )
         if seeds >= safe:
             return False
         rcap = self.rcap
         active = None
-        for row, red, grid in zip(counts, reds, self._bounds[node]):
+        for row, red, grid in zip(counts, reds, self._grids[node]):
             rest = sum(row) - row[0]
             if not rest:
                 continue
@@ -736,7 +858,7 @@ class CliqueWidthSolver:
         root = self.root_index
         rows = self.latency + 1
         zero_row = (0,) * self.k
-        bounds = self._bounds[root]
+        bounds = self._grids[root]
 
         def options(i, left, need, fired, total):
             if i < rows - 1:
@@ -786,91 +908,38 @@ class CliqueWidthSolver:
     def _scan(self, budget: int, requirement: int) -> frozenset[int] | None:
         """The fewest seeds within the budget that meet the requirement, or None.
 
-        The scan starts at the seed floor, below which no cascade meets
-        the requirement and every target.  At the first matrix of each
-        seed count every smaller count is refuted, so the greedy chain's
-        set of that size answers when its tally says it reaches the
-        requirement and every target; otherwise the matrices of that
-        count are searched, and the first satisfiable one's witness gives
-        the seeds.
+        The bounds answer first.  No set of fewer seeds than the floor
+        meets the requirement and every target, so a floor above the
+        budget refuses, as does one above n, which only a requirement
+        above n gives.  A chain prefix of the floor's size that meets
+        them is an optimum, and the one the scan below returns: its own
+        cascade's count matrix is admissible at the floor, the scan's
+        first seed count.  Only otherwise are the DP's tables built.  At
+        the first matrix of each seed count every smaller count is
+        refuted, so the chain's set of that size answers when its tally
+        says it reaches the requirement and every target; otherwise the
+        matrices of that count are searched, and the first satisfiable
+        one's witness gives the seeds.
         """
-        root, zero, chain = self.root_index, self._zero, self._chain
-        level = -1
-        floor = self._seed_floor(requirement)
-        for matrix in self._root_counts(budget, requirement, floor):
+        bounds = self._bounds
+        level = bounds.seed_floor(requirement)
+        if level > min(budget, self.labeled.graph.n):
+            return None
+        seeds = bounds.chain_seeds(level, requirement)
+        if seeds is not None:
+            return seeds
+        self._build()
+        root, zero = self.root_index, self._zero
+        for matrix in self._root_counts(budget, requirement, level):
             if sum(matrix[0]) > level:
                 level = sum(matrix[0])
-                while len(chain.seeds) < level:
-                    chain.grow()
-                hit, reached = chain.reach[level]
-                if reached >= requirement and hit == len(self.targets):
-                    return frozenset(chain.seeds[:level])
+                seeds = bounds.chain_seeds(level, requirement)
+                if seeds is not None:
+                    return seeds
             counts = tuple(zip(*matrix))
             if self._gamma(root, counts, zero):
                 return self._process(root, counts, zero)[0]
         return None
-
-    # -- bounds on the optimum --------------------------------------------
-
-    def _seed_floor(self, requirement: int) -> int:
-        """A lower bound on the seeds of a cascade meeting the requirement and targets.
-
-        With no threshold 0, a vertex active by round latency lies within
-        latency hops of a seed, and a target whose threshold exceeds its
-        degree must be a seed itself.  So targets with pairwise disjoint
-        regions, the target alone when it is forced and its latency-ball
-        otherwise, need distinct seeds; they are packed greedily.  And s
-        seeds activate at most s + the s largest c(v), c(v) counting the
-        vertices u != v within latency hops of v that can fire
-        (t(u) <= deg u).  Each half is made on first use and kept, like
-        the chain, and walks each ball once or twice, never past latency
-        hops.  A threshold 0 fires without a seed nearby: the floor is 0.
-        """
-        if 0 in self.thresholds:
-            return 0
-        graph, latency = self.labeled.graph, self.latency
-        adjacency, thresholds = graph.adjacency, self.thresholds
-        if self._packed is None:
-            # forced targets first, then the others by ascending ball size;
-            # a ball is walked once to be sized and again, until it meets
-            # one taken, to be packed
-            forced = {v for v in self.targets if thresholds[v] > len(adjacency[v])}
-            sized = sorted(
-                (sum(map(len, _layers(adjacency, (v,), latency))), v)
-                for v in self.targets - forced
-            )
-            taken = set(forced)
-            self._packed = len(forced)
-            for _, v in sized:
-                ball: set[int] = set()
-                for layer in _layers(adjacency, (v,), latency):
-                    if not taken.isdisjoint(layer):
-                        break
-                    ball |= layer
-                else:
-                    taken |= ball
-                    self._packed += 1
-        if requirement <= self._packed:  # the other half is at most requirement
-            return self._packed
-        if self._reach_caps is None:
-            can_fire = [t <= len(nb) for t, nb in zip(thresholds, adjacency)]
-            spread = sorted(
-                (
-                    sum(
-                        can_fire[u]
-                        for layer in _layers(adjacency, (v,), latency)
-                        for u in layer
-                    )
-                    - can_fire[v]
-                    for v in range(graph.n)
-                ),
-                reverse=True,
-            )
-            # caps[s]: the most vertices s seeds activate
-            self._reach_caps = [
-                *accumulate(spread, lambda cap, c: cap + 1 + c, initial=0)
-            ]
-        return max(self._packed, bisect_left(self._reach_caps, requirement))
 
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:
         """Satisfiability of one query at the root node."""
@@ -895,6 +964,7 @@ class CliqueWidthSolver:
             raise ValueError("query entries must be ints")
         if any(x < 0 for x in entries):
             raise ValueError("query entries must be non-negative")
+        self._build()
         for row, lo, hi in zip(
             counts, self._target_counts[node], self._label_counts[node]
         ):
@@ -915,13 +985,13 @@ class CliqueWidthSolver:
         seeds = self._scan(budget, requirement)
         if seeds is None:
             return None
-        final = simulate(
-            self.labeled.graph, self.thresholds, seeds, self.latency
-        ).final
+        trace = simulate(self.labeled.graph, self.thresholds, seeds, self.latency)
+        final = trace.final
         if len(seeds) > budget or len(final) < requirement or not self.targets <= final:
             raise AssertionError(
                 "the selected seeds miss the budget, the requirement or a target"
             )
+        self._trace = trace
         return seeds
 
     def reconstruct(

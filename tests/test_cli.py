@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latss
-from latss import cliquewidth, oracle, trees
+from latss import cliquewidth, kexpr, oracle, trees
 from latss.cli import _edge_list, document_to_instance, load_instance, main
 from latss.cli import InstanceError
 from latss.graphs import random_tree, simulate
@@ -71,7 +71,7 @@ P3_DOC = {
 
 class TestDocuments:
     def test_minimal_document(self):
-        instance, expr = document_to_instance(
+        instance, expr, _ = document_to_instance(
             {"n": 1, "edges": [], "thresholds": [1], "lambda": 1, "targets": [0]}
         )
         assert instance.graph.n == 1 and expr is None
@@ -115,7 +115,7 @@ class TestDocuments:
                 "rho(2->1, eta(3,2, U(3(x), eta(2,1, U(2(v), 1(u)))))))))))))"
             ),
         }
-        instance, expr = document_to_instance(doc)
+        instance, expr, _ = document_to_instance(doc)
         assert expr is not None and instance.graph.n == 5
 
     def test_mismatched_kexpr_rejected(self):
@@ -191,14 +191,21 @@ class TestRefusals:
             (["solve", "--method", "tree", "--instance", "{n0}"], "n must be at least 1"),
             (["solve", "--method", "brute", "--instance", "{missing}"], "cannot read"),
             (["simulate", "--seed", "1,,2", "--instance", "{p3}"], "bad seed list"),
+            (["solve", "--method", "cwd", "--instance", "{mismatch}"],
+             "vertex-for-vertex"),
         ],
-        ids=["n-below-one", "missing-instance", "empty-seed-entry"],
+        ids=["n-below-one", "missing-instance", "empty-seed-entry", "kexpr-mismatch"],
     )
     def test_exits_two(self, tmp_path, argv, message):
         paths = {
             "n0": write(tmp_path, {**P3_DOC, "n": 0}, name="n0.json"),
             "missing": str(tmp_path / "absent.json"),
             "p3": write(tmp_path, P3_DOC, name="p3.json"),
+            # three isolated vertices against the path's two edges
+            "mismatch": write(
+                tmp_path, {**P3_DOC, "kexpr": "U(1(a), U(1(b), 1(c)))"},
+                name="mismatch.json",
+            ),
         }
         code, out, err = run_captured([arg.format(**paths) for arg in argv])
         assert (code, out) == (2, "")
@@ -278,7 +285,7 @@ class TestSolveCommand:
         # lexicographically first among the fewest seeds
         doc = dict(n=6, edges=[[v, v + 1] for v in range(5)],
                    thresholds=[1, 2, 1, 1, 1, 1], **{"lambda": 1}, **fields)
-        instance, _ = document_to_instance(doc)
+        instance = document_to_instance(doc)[0]
         args = instance.graph, instance.thresholds, instance.latency
         expected = {
             "lba": lambda: oracle.brute_decision(
@@ -366,6 +373,26 @@ class TestSolveCommand:
         assert len(built) == 1
         # one scan at budget n finds the minimum
         assert len(scans) == 1
+
+    def test_cwd_evaluates_a_kexpr_document_once(self, capsys, tmp_path, monkeypatch):
+        # document_to_instance evaluates the expression to match it against
+        # the edges, and the solver takes that evaluation
+        code, doc = run(capsys, ["gen", "cograph", "--n", "7", "--seed", "3"])
+        path = write(tmp_path, doc)
+        calls = []
+
+        def counting(evaluate):
+            def wrapper(expr):
+                calls.append(expr)
+                return evaluate(expr)
+
+            return wrapper
+
+        monkeypatch.setattr(kexpr, "evaluate", counting(kexpr.evaluate))
+        monkeypatch.setattr(cliquewidth, "evaluate", counting(cliquewidth.evaluate))
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0 and out["feasible"]
+        assert len(calls) == 1
 
     def test_deep_expression_solves(self, capsys, tmp_path):
         # a 400-vertex path nests its expression about 1,200 levels deep
@@ -878,7 +905,7 @@ class TestGenCommand:
         assert code == 0 and doc["n"] == 6
         assert "kexpr" in doc
         path = write(tmp_path, doc, name=f"{family}.json")
-        instance, expr = load_instance(path)
+        instance, expr, _ = load_instance(path)
         method = "tree" if family != "cograph" else "brute"
         code, out = run(capsys, ["solve", "--method", method, "--instance", path])
         assert code == 0 and out["feasible"]

@@ -56,6 +56,16 @@ def solver_for(text, thresholds, latency):
     return CliqueWidthSolver(parse(text), thresholds, latency)
 
 
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Fail a test whose solver builds the DP's node tables."""
+
+    def refuse(self):
+        raise AssertionError("the DP's tables were built")
+
+    monkeypatch.setattr(CliqueWidthSolver, "_build", refuse)
+
+
 class TestVerifySchedule:
     def test_seeded_vertex_is_fine(self):
         lg = evaluate(parse("1(u)"))
@@ -231,6 +241,22 @@ class TestEtaQueries:
             solver_for("eta(2,1, eta(2,1, U(2(v), 1(u))))", (1, 1), 1)
         assert calls == ["evaluate"] * 2
         assert [v.path for v in err.value.violations] == [()]
+
+    @pytest.mark.parametrize("label", [2, 5])
+    def test_a_callers_evaluation_stands_in_for_the_walk(self, monkeypatch, label):
+        # label 5 is renumbered to 2, so the renumbered tree is evaluated
+        from latss import cliquewidth
+
+        expr = parse(f"eta({label},1, U({label}(v), 1(u)))")
+        given, own = evaluate(expr), CliqueWidthSolver(expr, (1, 1), 1).labeled
+        calls = []
+        monkeypatch.setattr(
+            cliquewidth, "evaluate", lambda e: calls.append(e) or evaluate(e)
+        )
+        solver = CliqueWidthSolver(expr, (1, 1), 1, _labeled=given)
+        assert len(calls) == (label != 2)
+        assert solver.labeled == own
+        assert solver.select(2, 2) == {0}
 
     def test_constructor_makes_one_post_order_traversal(self, monkeypatch):
         # the checked pass gives the width, the well-formedness verdict and
@@ -627,26 +653,26 @@ class TestGreedyChain:
 
             chain.append(max((v for v in range(n) if v not in chain), key=reach))
         solver = CliqueWidthSolver(expr, thr, lam, targets)
-        while len(solver._chain.seeds) < n:
-            solver._chain.grow()
-        assert solver._chain.seeds == chain
+        while len(solver._bounds.chain.seeds) < n:
+            solver._bounds.chain.grow()
+        assert solver._bounds.chain.seeds == chain
         # what each prefix reaches, tallied from the scores
         finals = [simulate(graph, thr, chain[:i], lam).final for i in range(n + 1)]
         want = [(len(final & targets), len(final)) for final in finals]
-        assert solver._chain.reach == want
+        assert solver._bounds.chain.reach == want
 
     def test_a_greedy_miss_falls_back_to_the_scan(self):
         # the chain's {0, 1} leaves leaf 2 with one active neighbour of two
         expr = tree_expression(star_graph(3))
         solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
         assert solver.select(3) == {1, 2}
-        assert solver._chain.seeds[:2] == [0, 1]
+        assert solver._bounds.chain.seeds[:2] == [0, 1]
 
     def test_memo_ceiling_on_a_dense_cograph(self):
         expr = canonicalize_names(cograph_expression(12, random.Random(1)))
         solver = CliqueWidthSolver(expr, (1,) * 12, 12, range(12))
         chosen = solver.select(12)
-        assert len(chosen) == 1 and chosen == set(solver._chain.seeds[:1])
+        assert len(chosen) == 1 and chosen == set(solver._bounds.chain.seeds[:1])
         # the chain's set is the answer as it is, and the memo holds only
         # what the DP proved: 47 entries when the chain's cascade was written
         # into it, 709,368 without the chain
@@ -677,9 +703,9 @@ class TestGreedyChain:
         # reaches every vertex must not pass as an answer, even under -O
         expr = tree_expression(star_graph(3))
         solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
-        solver._chain.grow()
-        solver._chain.grow()
-        solver._chain.reach[2] = (3, 3)
+        solver._bounds.chain.grow()
+        solver._bounds.chain.grow()
+        solver._bounds.chain.reach[2] = (3, 3)
         with pytest.raises(AssertionError, match="miss"):
             solver.select(3)
 
@@ -693,7 +719,7 @@ class TestGreedyChain:
             n = graph.n
             thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
             lam = rng.randint(1, n)
-            chain = CliqueWidthSolver(expr, thr, lam)._chain
+            chain = CliqueWidthSolver(expr, thr, lam)._bounds.chain
             while True:
                 steps = simulate(graph, thr, chain.seeds, lam).steps
                 fire = [lam + 1] * n
@@ -726,7 +752,7 @@ class TestGreedyChain:
                 return tuple.__getitem__(self, i)
 
         n = 60
-        chain = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))._chain
+        chain = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))._bounds.chain
         chain.graph = SimpleNamespace(n=n, adjacency=Reads(chain.graph.adjacency))
         assert len(chain._advance(0)) == n
         assert Reads.count <= 4 * n  # 1,889 spreading from every moved vertex
@@ -762,15 +788,15 @@ class TestSeedFloor:
             n = graph.n
             solver = CliqueWidthSolver(expr, thr, lam, targets)
             fewest = len(brute_min_target(graph, thr, lam, targets))
-            assert solver._seed_floor(0) <= fewest
+            assert solver._bounds.seed_floor(0) <= fewest
             plain = CliqueWidthSolver(expr, thr, lam)
             for req in range(n + 1):
                 found = _first_seed(graph, thr, lam, n, (), req)
                 if found is not None:
-                    assert plain._seed_floor(req) <= len(found)
+                    assert plain._bounds.seed_floor(req) <= len(found)
                 found = _first_seed(graph, thr, lam, n, targets, req)
                 if found is not None:
-                    assert solver._seed_floor(req) <= len(found)
+                    assert solver._bounds.seed_floor(req) <= len(found)
 
     def test_no_root_matrix_below_the_floor_is_queried(self):
         for expr, graph, thr, lam, targets in self.instances(67, 60):
@@ -780,24 +806,28 @@ class TestSeedFloor:
                 solver.select(graph.n, req)
                 made = solver.queries(solver.root_index)[asked:]
                 asked += len(made)
-                floor = solver._seed_floor(req)
+                floor = solver._bounds.seed_floor(req)
                 assert all(sum(row[0] for row in c) >= floor for c, _ in made)
         # the leaves need threshold 2 with one neighbour: both are seeds, so
         # the scan starts at two seeds, and the chain's {0, 1} misses
         expr = tree_expression(star_graph(3))
         solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
-        assert solver._seed_floor(0) == 2
+        assert solver._bounds.seed_floor(0) == 2
         assert solver.select(3) == {1, 2}
         seeds = [sum(row[0] for row in c) for c, _ in solver.queries(solver.root_index)]
         assert seeds and min(seeds) == 2
 
-    def test_a_budget_below_the_floor_asks_nothing(self):
+    def test_a_budget_below_the_floor_asks_nothing(self, no_tables):
         n = 12
         solver = CliqueWidthSolver(path_expression(n), (1,) * n, 1, range(n))
-        assert solver._seed_floor(0) == 4
+        assert solver._bounds.seed_floor(0) == 4
         assert solver.select(3) is None
+        assert not solver.decide(3)
         assert all(not solver.queries(x) for x in range(solver.node_count))
-        assert solver._chain.seeds == []
+        assert solver._bounds.chain.seeds == []
+        # no n + 1 seeds exist for a requirement past what n seeds reach
+        assert solver._bounds.seed_floor(10 * n) == n + 1
+        assert solver.select(2 * n, 10 * n) is None
 
     def test_memo_ceiling_on_a_unit_path(self):
         n = 12
@@ -810,8 +840,37 @@ class TestSeedFloor:
         # the middle vertex fires at round 1 with no seed, its neighbours at
         # round 2: no seed is needed, though no target is a seed's neighbour
         solver = CliqueWidthSolver(path_expression(3), (1, 0, 1), 2, {1})
-        assert solver._seed_floor(3) == 0
+        assert solver._bounds.seed_floor(3) == 0
         assert solver.select(3, 3) == frozenset()
+
+
+class TestBoundsFirst:
+    """The seed floor and the greedy chain answer before any DP table exists."""
+
+    def test_the_chain_at_the_floor_builds_no_tables(self, no_tables):
+        # a 12-vertex unit path at latency 1: the floor is 4, and the
+        # chain's first four seeds reach every vertex
+        n = 12
+        solver = CliqueWidthSolver(path_expression(n), (1,) * n, 1, range(n))
+        assert solver._bounds.seed_floor(0) == 4
+        assert solver.select(n) == {1, 4, 7, 10}
+        assert solver.decide(n)
+
+    def test_the_tracer_reads_a_solver_without_tables(self, no_tables):
+        solver = CliqueWidthSolver(path_expression(4), (1, 2, 2, 1), 2)
+        assert (solver.node_count, solver.root_index, solver.k) == (12, 11, 3)
+        assert all(solver.queries(x) == [] for x in range(solver.node_count))
+        assert list(solver.witnessed_entries()) == []
+        with pytest.raises(IndexError):
+            solver.queries(solver.node_count)
+
+    def test_a_huge_latency_constructs_and_answers_from_the_bounds(self):
+        # no row of latency entries is made until the DP runs; a query
+        # that needs the DP at such a latency is left to a state-space guard
+        huge = CliqueWidthSolver(path_expression(3), (1, 1, 1), 10**30)
+        small = CliqueWidthSolver(path_expression(3), (1, 1, 1), 3)
+        assert huge.select(3, 3) == small.select(3, 3) == {0}
+        assert huge._memo is None
 
 
 class TestWitnesses:
