@@ -67,17 +67,19 @@ order.  On dense graphs at a large latency one seed often suffices, and
 the search at the optimum, nearly all of the time there, never runs.
 
 The floor and the chain read only the graph, the thresholds, the
-latency and the targets, never the expression.  One bounds object per
-solver holds both, each made on first use and kept, so a budget sweep
-makes them once.  The scan asks it before anything else: a floor above
-the budget refuses, and a chain prefix of the floor's size that meets
-the requirement and every target is the answer, the same set the root
-scan would return, since that cascade's own count matrix is admissible
-at the floor.  Only otherwise does the solver build its node tables,
-memo and caches, on the DP's first use; ``query`` and ``reconstruct``
-build them too.  The constructor walks the expression once for the
-width and well-formedness verdict, and once more to evaluate it unless
-the caller passes the evaluation it already made.
+latency and the targets, never the expression, so one bounds object
+made from those alone holds both.  It simulates the empty seed set when
+made; the floor's halves and the chain's seeds are made on first use
+and kept, so a budget sweep makes each once.  The scan asks it before
+anything else: a floor above the budget refuses, and a chain prefix of
+the floor's size that meets the requirement and every target is the
+answer, the same set the root scan would return, since that cascade's
+own count matrix is admissible at the floor.  Only otherwise does the
+solver build its node tables, memo and caches, on the DP's first use;
+``query`` and ``reconstruct`` build them too.  The constructor walks
+the expression once for the width and well-formedness verdict, and
+once more to evaluate it unless the caller passes the evaluation it
+already made; renumbered labels are mapped onto that evaluation.
 
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
@@ -105,6 +107,7 @@ run concurrently on shared inputs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import accumulate, product, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -290,8 +293,13 @@ def _layers(
     yield frontier
 
 
-def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
-    """Relabel a post-order node list of width k to use labels 1..k', in order."""
+def _dense_labels(
+    post: list[KExpr], k: int
+) -> tuple[list[KExpr], int, dict[int, int] | None]:
+    """Relabel a post-order node list of width k to use labels 1..k', in order.
+
+    Also gives the old-to-new label map, None when the labels are dense.
+    """
     used: set[int] = set()
     for node in post:
         if isinstance(node, Leaf):
@@ -299,7 +307,7 @@ def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
         elif not isinstance(node, Union):
             used.update((node.a, node.b))
         if len(used) == k:  # already dense, mostly seen within a few nodes
-            return post, k
+            return post, k, None
     rank = {label: i for i, label in enumerate(sorted(used), 1)}
     new: dict[int, KExpr] = {}  # by id of the node replaced, in post-order
     for node in post:
@@ -309,18 +317,22 @@ def _dense_labels(post: list[KExpr], k: int) -> tuple[list[KExpr], int]:
             new[id(node)] = Union(new[id(node.left)], new[id(node.right)])
         else:
             new[id(node)] = type(node)(rank[node.a], rank[node.b], new[id(node.child)])
-    return [*new.values()], len(used)
+    return [*new.values()], len(used), rank
 
 
-class _GreedyChain:
-    """Seed sets S_1 ⊂ S_2 ⊂ ..., each one vertex more, grown on demand.
+class _Bounds:
+    """Bounds on the optimum from the graph, thresholds, latency and targets.
 
-    Each step adds the vertex whose cascade reaches the most targets, then
-    the most vertices, ties going to the smallest id.  A candidate's gain
-    is scored from the current fire rounds by :meth:`_advance`, and kept
-    until a new seed moves a vertex within latency + 1 hops of it: only
-    those fire rounds enter its score.  The winner's gain adds to the
-    tally of what each prefix reaches.
+    The seed floor is a lower bound on the seeds of any cascade that meets
+    a requirement and every target.  The greedy chain's prefixes S_1 ⊂ S_2
+    ⊂ ... are seed sets that may meet it: each step adds the vertex whose
+    cascade reaches the most targets, then the most vertices, ties going
+    to the smallest id.  A candidate's gain is scored from the current
+    fire rounds by :meth:`_advance`, and kept until a new seed moves a
+    vertex within latency + 1 hops of it; the winner's gain adds to the
+    tally of what each prefix reaches.  Neither bound reads the
+    expression.  The floor's halves are made on first use and the chain
+    grows on demand, all of it kept, so a budget sweep makes each once.
     """
 
     def __init__(
@@ -347,6 +359,21 @@ class _GreedyChain:
         # (targets, vertices) newly reached with each vertex as a seed too;
         # None until scored, and again once a new seed may have changed it
         self.gains: list[tuple[int, int] | None] = [None] * graph.n
+        # the two halves of the seed floor (see seed_floor)
+        self._packed: int | None = None
+        self._reach_caps: list[int] | None = None
+
+    def chain_seeds(self, size: int, requirement: int) -> frozenset[int] | None:
+        """The chain's first ``size`` seeds if, by its tally, they meet it all.
+
+        That is, the requirement and every target; None when they do not.
+        """
+        while len(self.seeds) < size:
+            self.grow()
+        hit, reached = self.reach[size]
+        if reached >= requirement and hit == len(self.targets):
+            return frozenset(self.seeds[:size])
+        return None
 
     def grow(self) -> None:
         """Add the next seed, scoring only the candidates not scored since."""
@@ -406,51 +433,6 @@ class _GreedyChain:
             ahead += len(fired)
         return moved
 
-
-class _Bounds:
-    """Bounds on the optimum from the graph, thresholds, latency and targets.
-
-    The seed floor is a lower bound on the seeds of any cascade that meets
-    a requirement and every target; the greedy chain's prefixes are seed
-    sets that may meet it.  Neither reads the expression.  Each part is
-    made on first use and kept, so a budget sweep makes it once.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        thresholds: Sequence[int],
-        latency: int,
-        targets: frozenset[int],
-    ) -> None:
-        self.graph, self.thresholds = graph, thresholds
-        self.latency, self.targets = latency, targets
-        self._chain: _GreedyChain | None = None
-        # the two halves of the seed floor (see seed_floor)
-        self._packed: int | None = None
-        self._reach_caps: list[int] | None = None
-
-    @property
-    def chain(self) -> _GreedyChain:
-        if self._chain is None:
-            self._chain = _GreedyChain(
-                self.graph, self.thresholds, self.latency, self.targets
-            )
-        return self._chain
-
-    def chain_seeds(self, size: int, requirement: int) -> frozenset[int] | None:
-        """The chain's first ``size`` seeds if, by its tally, they meet it all.
-
-        That is, the requirement and every target; None when they do not.
-        """
-        chain = self.chain
-        while len(chain.seeds) < size:
-            chain.grow()
-        hit, reached = chain.reach[size]
-        if reached >= requirement and hit == len(self.targets):
-            return frozenset(chain.seeds[:size])
-        return None
-
     def seed_floor(self, requirement: int) -> int:
         """A lower bound on the seeds of a cascade meeting the requirement and targets.
 
@@ -461,9 +443,9 @@ class _Bounds:
         otherwise, need distinct seeds; they are packed greedily.  And s
         seeds activate at most s + the s largest c(v), c(v) counting the
         vertices u != v within latency hops of v that can fire
-        (t(u) <= deg u).  Each half is made on first use and kept, like
-        the chain, and walks each ball once or twice, never past latency
-        hops.  A threshold 0 fires without a seed nearby: the floor is 0.
+        (t(u) <= deg u).  Each half is made on first use and kept, and
+        walks each ball once or twice, never past latency hops.  A
+        threshold 0 fires without a seed nearby: the floor is 0.
         """
         if 0 in self.thresholds:
             return 0
@@ -533,11 +515,13 @@ class CliqueWidthSolver:
         # the checked pass and evaluate's walk, which also finds redundant
         # insertions, are the constructor's only traversals; a caller that
         # has evaluate(expr) already passes it as _labeled, which stands in
-        # for the walk unless the labels are renumbered
+        # for the walk
         post, width = _checked_postorder(expr)
-        post, self.k = _dense_labels(post, width)
-        if _labeled is None or self.k != width:
-            _labeled = evaluate(post[-1])
+        post, self.k, rank = _dense_labels(post, width)
+        if _labeled is None:
+            _labeled = evaluate(expr)
+        if rank is not None:
+            _labeled = replace(_labeled, labels=tuple(rank[l] for l in _labeled.labels))
         self.labeled = _labeled
         if _labeled.violations:
             raise IrredundancyError(list(_labeled.violations))
@@ -639,10 +623,15 @@ class CliqueWidthSolver:
     def node_count(self) -> int:
         return len(self._nodes)
 
+    def _check_node(self, node: int) -> None:
+        if type(node) is not int or not 0 <= node < self.node_count:
+            raise ValueError(f"node {node!r} is not in 0..{self.node_count - 1}")
+
     def subgraph(
         self, node: int
     ) -> tuple[LabeledGraph, tuple[int, ...], dict[int, int]]:
         """Labeled subgraph at a node, its thresholds, and a global->local id map."""
+        self._check_node(node)
         local = evaluate(self._nodes[node])
         to_global = {name: v for v, name in enumerate(self.labeled.names)}
         locals_thr = tuple(self.thresholds[to_global[name]] for name in local.names)
@@ -651,10 +640,9 @@ class CliqueWidthSolver:
 
     def queries(self, node: int) -> list[tuple[CountMatrix, ReductionMatrix]]:
         """All (counts, reductions) pairs evaluated so far at a node."""
-        if self._memo is None:  # nothing asked yet: no tables to build
-            self._nodes[node]  # a node outside the tree still raises
-            return []
-        return list(self._memo[node])
+        self._check_node(node)
+        # before the DP's first use there is nothing to list, nor tables to build
+        return [] if self._memo is None else list(self._memo[node])
 
     def witnessed_entries(
         self,
@@ -948,8 +936,7 @@ class CliqueWidthSolver:
 
     def _entry(self, node: int, counts, reductions):
         """A public query as a memo key; None when a class total is out of bounds."""
-        if type(node) is not int or not 0 <= node < self.node_count:
-            raise ValueError(f"node {node!r} is not in 0..{self.node_count - 1}")
+        self._check_node(node)
         try:
             counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
         except TypeError:

@@ -447,25 +447,59 @@ class TestSolveCommand:
         assert captured.out == ""
         assert "internal error: RuntimeError: injected" in captured.err
 
+    # the star's leaves are forced seeds, so a chain prefix of two that
+    # holds the centre misses a leaf
+    FORCED_STAR = {"n": 3, "edges": [[0, 1], [0, 2]], "thresholds": [2, 2, 2],
+                   "lambda": 1, "targets": [0, 1, 2]}
+
     def test_a_false_chain_tally_exits_three(self, capsys, tmp_path, monkeypatch):
-        # every chain prefix claims to reach all: the star's leaves are forced
-        # seeds, so a prefix of two that holds the centre misses a leaf, and
-        # select's own simulation, not an assert, reports it
-        grow = cliquewidth._GreedyChain.grow
+        # every chain prefix claims to reach all; select's own simulation,
+        # not an assert, reports the miss
+        grow = cliquewidth._Bounds.grow
 
         def claims_all(self):
             grow(self)
             self.reach[-1] = (len(self.targets), self.graph.n)
 
-        monkeypatch.setattr(cliquewidth._GreedyChain, "grow", claims_all)
-        doc = {"n": 3, "edges": [[0, 1], [0, 2]], "thresholds": [2, 2, 2],
-               "lambda": 1, "targets": [0, 1, 2]}
-        path = write(tmp_path, doc)
+        monkeypatch.setattr(cliquewidth._Bounds, "grow", claims_all)
+        path = write(tmp_path, self.FORCED_STAR)
         code = main(["solve", "--method", "cwd", "--instance", path])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert "internal error: AssertionError" in captured.err
+
+    def test_a_false_chain_tally_exits_three_under_O(self, tmp_path):
+        # the same false tally in a child run with assert statements off
+        script = """
+import sys
+from latss import cliquewidth
+from latss.cli import main
+
+if __debug__:
+    sys.exit("assert statements are on")
+grow = cliquewidth._Bounds.grow
+
+def claims_all(self):
+    grow(self)
+    self.reach[-1] = (len(self.targets), self.graph.n)
+
+cliquewidth._Bounds.grow = claims_all
+sys.exit(main(sys.argv[1:]))
+"""
+        src = Path(latss.__file__).resolve().parent.parent
+        path = write(tmp_path, self.FORCED_STAR)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script,
+             "solve", "--method", "cwd", "--instance", path],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "internal error: AssertionError" in proc.stderr
 
     def test_output_roundtrips(self, capsys, tmp_path):
         path = write(tmp_path, P3_DOC)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from latss.cliquewidth import (
     CliqueWidthSolver,
+    _Bounds,
     _rows_by_sum,
     decide,
     decide_targets,
@@ -244,7 +245,7 @@ class TestEtaQueries:
 
     @pytest.mark.parametrize("label", [2, 5])
     def test_a_callers_evaluation_stands_in_for_the_walk(self, monkeypatch, label):
-        # label 5 is renumbered to 2, so the renumbered tree is evaluated
+        # label 5 is renumbered to 2 on the given evaluation, not by a walk
         from latss import cliquewidth
 
         expr = parse(f"eta({label},1, U({label}(v), 1(u)))")
@@ -254,8 +255,8 @@ class TestEtaQueries:
             cliquewidth, "evaluate", lambda e: calls.append(e) or evaluate(e)
         )
         solver = CliqueWidthSolver(expr, (1, 1), 1, _labeled=given)
-        assert len(calls) == (label != 2)
-        assert solver.labeled == own
+        assert calls == []
+        assert solver.labeled == own == evaluate(parse("eta(2,1, U(2(v), 1(u)))"))
         assert solver.select(2, 2) == {0}
 
     def test_constructor_makes_one_post_order_traversal(self, monkeypatch):
@@ -653,26 +654,26 @@ class TestGreedyChain:
 
             chain.append(max((v for v in range(n) if v not in chain), key=reach))
         solver = CliqueWidthSolver(expr, thr, lam, targets)
-        while len(solver._bounds.chain.seeds) < n:
-            solver._bounds.chain.grow()
-        assert solver._bounds.chain.seeds == chain
+        while len(solver._bounds.seeds) < n:
+            solver._bounds.grow()
+        assert solver._bounds.seeds == chain
         # what each prefix reaches, tallied from the scores
         finals = [simulate(graph, thr, chain[:i], lam).final for i in range(n + 1)]
         want = [(len(final & targets), len(final)) for final in finals]
-        assert solver._bounds.chain.reach == want
+        assert solver._bounds.reach == want
 
     def test_a_greedy_miss_falls_back_to_the_scan(self):
         # the chain's {0, 1} leaves leaf 2 with one active neighbour of two
         expr = tree_expression(star_graph(3))
         solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
         assert solver.select(3) == {1, 2}
-        assert solver._bounds.chain.seeds[:2] == [0, 1]
+        assert solver._bounds.seeds[:2] == [0, 1]
 
     def test_memo_ceiling_on_a_dense_cograph(self):
         expr = canonicalize_names(cograph_expression(12, random.Random(1)))
         solver = CliqueWidthSolver(expr, (1,) * 12, 12, range(12))
         chosen = solver.select(12)
-        assert len(chosen) == 1 and chosen == set(solver._bounds.chain.seeds[:1])
+        assert len(chosen) == 1 and chosen == set(solver._bounds.seeds[:1])
         # the chain's set is the answer as it is, and the memo holds only
         # what the DP proved: 47 entries when the chain's cascade was written
         # into it, 709,368 without the chain
@@ -703,9 +704,9 @@ class TestGreedyChain:
         # reaches every vertex must not pass as an answer, even under -O
         expr = tree_expression(star_graph(3))
         solver = CliqueWidthSolver(expr, (2, 2, 2), 1, range(3))
-        solver._bounds.chain.grow()
-        solver._bounds.chain.grow()
-        solver._bounds.chain.reach[2] = (3, 3)
+        solver._bounds.grow()
+        solver._bounds.grow()
+        solver._bounds.reach[2] = (3, 3)
         with pytest.raises(AssertionError, match="miss"):
             solver.select(3)
 
@@ -719,26 +720,26 @@ class TestGreedyChain:
             n = graph.n
             thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
             lam = rng.randint(1, n)
-            chain = CliqueWidthSolver(expr, thr, lam)._bounds.chain
+            bounds = CliqueWidthSolver(expr, thr, lam)._bounds
             while True:
-                steps = simulate(graph, thr, chain.seeds, lam).steps
+                steps = simulate(graph, thr, bounds.seeds, lam).steps
                 fire = [lam + 1] * n
                 for i, step in enumerate(steps):
                     for u in step:
                         fire[u] = i
-                assert chain.fire == fire
-                assert chain.rounds == [
+                assert bounds.fire == fire
+                assert bounds.rounds == [
                     {u for u in range(n) if fire[u] == i}
-                    for i in range(len(chain.rounds))
+                    for i in range(len(bounds.rounds))
                 ]
-                if len(chain.seeds) == n:
+                if len(bounds.seeds) == n:
                     break
-                for v in set(range(n)).difference(chain.seeds):
-                    steps = simulate(graph, thr, [*chain.seeds, v], lam).steps
+                for v in set(range(n)).difference(bounds.seeds):
+                    steps = simulate(graph, thr, [*bounds.seeds, v], lam).steps
                     want = {u: i for i, step in enumerate(steps) for u in step}
                     moved = {u: i for u, i in want.items() if i < fire[u]}
-                    assert chain._advance(v) == moved
-                chain.grow()
+                    assert bounds._advance(v) == moved
+                bounds.grow()
 
     def test_advance_spreads_from_the_last_round_alone(self):
         # a unit path at latency n: a seed's cascade crosses the path one
@@ -752,13 +753,13 @@ class TestGreedyChain:
                 return tuple.__getitem__(self, i)
 
         n = 60
-        chain = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))._bounds.chain
-        chain.graph = SimpleNamespace(n=n, adjacency=Reads(chain.graph.adjacency))
-        assert len(chain._advance(0)) == n
+        bounds = CliqueWidthSolver(path_expression(n), (1,) * n, n, range(n))._bounds
+        bounds.graph = SimpleNamespace(n=n, adjacency=Reads(bounds.graph.adjacency))
+        assert len(bounds._advance(0)) == n
         assert Reads.count <= 4 * n  # 1,889 spreading from every moved vertex
         Reads.count = 0
-        chain.grow()
-        assert chain.seeds == [0]
+        bounds.grow()
+        assert bounds.seeds == [0]
         assert Reads.count <= 4 * n * n  # 153,109 spreading from every moved one
 
 
@@ -789,6 +790,14 @@ class TestSeedFloor:
             solver = CliqueWidthSolver(expr, thr, lam, targets)
             fewest = len(brute_min_target(graph, thr, lam, targets))
             assert solver._bounds.seed_floor(0) <= fewest
+            # the bounds read no expression: made from the graph, they agree
+            alone = _Bounds(graph, thr, lam, frozenset(targets))
+            for req in range(n + 1):
+                assert alone.seed_floor(req) == solver._bounds.seed_floor(req)
+                for size in range(n + 1):
+                    assert alone.chain_seeds(size, req) == solver._bounds.chain_seeds(
+                        size, req
+                    )
             plain = CliqueWidthSolver(expr, thr, lam)
             for req in range(n + 1):
                 found = _first_seed(graph, thr, lam, n, (), req)
@@ -824,7 +833,7 @@ class TestSeedFloor:
         assert solver.select(3) is None
         assert not solver.decide(3)
         assert all(not solver.queries(x) for x in range(solver.node_count))
-        assert solver._bounds.chain.seeds == []
+        assert solver._bounds.seeds == []
         # no n + 1 seeds exist for a requirement past what n seeds reach
         assert solver._bounds.seed_floor(10 * n) == n + 1
         assert solver.select(2 * n, 10 * n) is None
@@ -861,7 +870,7 @@ class TestBoundsFirst:
         assert (solver.node_count, solver.root_index, solver.k) == (12, 11, 3)
         assert all(solver.queries(x) == [] for x in range(solver.node_count))
         assert list(solver.witnessed_entries()) == []
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             solver.queries(solver.node_count)
 
     def test_a_huge_latency_constructs_and_answers_from_the_bounds(self):
@@ -966,6 +975,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="not satisfiable"):
             solver.reconstruct(((0, 0), (0, 0)), ((0,), (0,)))
         assert solver.queries(solver.root_index) == [(((0, 0), (1, 0)), ((0,), (0,)))]
+
+    @pytest.mark.parametrize("built", [False, True])
+    @pytest.mark.parametrize("method", ["queries", "subgraph", "reconstruct"])
+    @pytest.mark.parametrize(
+        "pick",
+        [lambda n: -1, lambda n: n, lambda n: True, lambda n: 1.0],
+        ids=["-1", "node_count", "True", "1.0"],
+    )
+    def test_a_node_outside_the_tree_is_refused(self, pick, method, built):
+        # no negative index from the end, no bool or float as an index
+        solver = solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
+        zero = ((0, 0), (0, 0)), ((0,), (0,))
+        if built:
+            assert solver.query(*zero)
+        assert (solver._memo is not None) == built
+        node = pick(solver.node_count)
+        calls = {
+            "queries": lambda: solver.queries(node),
+            "subgraph": lambda: solver.subgraph(node),
+            "reconstruct": lambda: solver.reconstruct(*zero, node),
+        }
+        with pytest.raises(ValueError, match=r"is not in 0\.\.3"):
+            calls[method]()
 
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
