@@ -361,7 +361,8 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
 def _instance_doc_from_expression(
     expression: kexpr.KExpr, latency: int | None
 ) -> dict:
-    expression = kexpr.canonicalize_names(expression)
+    # vertex ids follow leaf order, so the graph and labels do not depend
+    # on the names, and the text names each leaf by its id
     labeled = kexpr.evaluate(expression)
     n = labeled.graph.n
     return {
@@ -370,7 +371,7 @@ def _instance_doc_from_expression(
         "thresholds": [1] * n,
         "lambda": latency if latency is not None else n,
         "targets": list(range(n)),
-        "kexpr": kexpr.unparse(expression),
+        "kexpr": kexpr._unparse(expression, numbered=True),
     }
 
 

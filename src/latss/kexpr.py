@@ -15,7 +15,15 @@ Vertex ids of an evaluated expression are assigned by leaf order in a
 left-to-right depth-first traversal (equivalently: order of appearance
 in the printed text).  All traversals here are iterative, so deeply
 nested expressions — paths with hundreds of thousands of vertices — do
-not hit the interpreter's recursion limit.
+not hit the interpreter's recursion limit; that holds for comparing,
+hashing and printing nodes too.
+
+Nodes are slotted value classes: equal by class and fields, hashable,
+and not frozen, since a frozen dataclass pays about three times a plain
+slot store for each field it sets.  Trees share subtrees, so a node is
+never mutated once built.  ``latss gen`` prints its expression as
+built, naming each leaf by its vertex id in the one print walk, rather
+than rebuilding the tree through :func:`canonicalize_names`.
 
 The parser first finds any unexpected character with one regex search,
 and reports it ahead of every other error.  It then lists the tokens as
@@ -49,20 +57,88 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class _Node:
+    """Value semantics for the four node classes, without recursion.
+
+    Two trees are equal when they have the same shape, node classes and
+    fields; equal trees hash alike, and ``repr`` prints the dataclass
+    text.  Each walks the tree with an explicit stack, so a deep tree
+    does not hit the interpreter's recursion limit.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:  # trees share subtrees
+                continue
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, Leaf):
+                if x.label != y.label or x.name != y.name:
+                    return False
+            elif isinstance(x, Union):
+                pairs += ((x.right, y.right), (x.left, y.left))
+            elif x.a != y.a or x.b != y.b:
+                return False
+            else:
+                pairs.append((x.child, y.child))
+        return True
+
+    def __hash__(self) -> int:
+        return fold(
+            self,
+            lambda n: hash((type(n), n.label, n.name)),
+            lambda n, l, r: hash((type(n), l, r)),
+            lambda n, c: hash((type(n), n.a, n.b, c)),
+            lambda n, c: hash((type(n), n.a, n.b, c)),
+        )
+
+    def __repr__(self) -> str:
+        def push(value):  # a node is expanded later; anything else is a piece now
+            stack.append(value if isinstance(value, _Node) else repr(value))
+
+        pieces: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            cls = type(item).__qualname__
+            if isinstance(item, Leaf):
+                pieces.append(f"{cls}(label={item.label!r}, name={item.name!r})")
+            elif isinstance(item, Union):
+                stack.append(")")
+                push(item.right)
+                stack.append(", right=")
+                push(item.left)
+                stack.append(f"{cls}(left=")
+            else:
+                stack.append(")")
+                push(item.child)
+                stack.append(f"{cls}(a={item.a!r}, b={item.b!r}, child=")
+        return "".join(pieces)
+
+
+@dataclass(slots=True, eq=False, repr=False)
+class Leaf(_Node):
     label: int
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Union:
+@dataclass(slots=True, eq=False, repr=False)
+class Union(_Node):
     left: "KExpr"
     right: "KExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Eta:
+@dataclass(slots=True, eq=False, repr=False)
+class Eta(_Node):
     """Insert every edge between label ``a`` and label ``b`` (a != b)."""
 
     a: int
@@ -70,8 +146,8 @@ class Eta:
     child: "KExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Rho:
+@dataclass(slots=True, eq=False, repr=False)
+class Rho(_Node):
     """Rename label ``a`` to ``b`` (a != b)."""
 
     a: int
@@ -312,14 +388,25 @@ def parse(text: str) -> KExpr:
 
 def unparse(expr: KExpr) -> str:
     """Canonical text; ``parse(unparse(e)) == e`` for well-formed e."""
+    return _unparse(expr, False)
+
+
+def _unparse(expr: KExpr, numbered: bool) -> str:
+    """The text of ``expr``; if ``numbered``, the i-th leaf printed is named ``i``.
+
+    Leaves print in evaluated vertex order, so the numbered text is
+    ``unparse(canonicalize_names(expr))``, made without building a tree.
+    """
     pieces: list[str] = []
     stack: list[KExpr | str] = [expr]
+    leaves = 0
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             pieces.append(item)
         elif isinstance(item, Leaf):
-            pieces.append(f"{item.label}({item.name})")
+            pieces.append(f"{item.label}({leaves if numbered else item.name})")
+            leaves += 1
         elif isinstance(item, Union):
             stack.extend([")", item.right, ", ", item.left, "U("])
         elif isinstance(item, Eta):

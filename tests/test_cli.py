@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from latss.kexpr import (
     check_irredundant,
     cograph_expression,
     evaluate,
+    leaf_names,
     parse,
     path_expression,
     tree_expression,
@@ -960,6 +962,74 @@ class TestGenCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: latency must be non-negative\n"
+
+    # sha256 of the stdout of `gen FAMILY --n N --seed SEED [--latency L]`,
+    # recorded when gen still rebuilt its tree through canonicalize_names
+    DIGESTS = {
+    ('path', 1, 1, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('path', 1, 2, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('path', 2, 1, None): "d936463b14e73b3c341d4d9e217d8d490929ba62f1a956e2e698b392792a695b",
+    ('path', 2, 2, None): "d936463b14e73b3c341d4d9e217d8d490929ba62f1a956e2e698b392792a695b",
+    ('path', 7, 1, None): "6e55328a9ebd6b20372c561154e5744140a32ea02138d54344accd30fcb0e9e4",
+    ('path', 7, 2, None): "6e55328a9ebd6b20372c561154e5744140a32ea02138d54344accd30fcb0e9e4",
+    ('path', 300, 1, None): "6278ca46e1d69775c3b5662c5fdb0622637da2f0f5703c948b11d9f3ef65e04e",
+    ('path', 300, 2, None): "6278ca46e1d69775c3b5662c5fdb0622637da2f0f5703c948b11d9f3ef65e04e",
+    ('star', 1, 1, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('star', 1, 2, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('star', 2, 1, None): "d936463b14e73b3c341d4d9e217d8d490929ba62f1a956e2e698b392792a695b",
+    ('star', 2, 2, None): "d936463b14e73b3c341d4d9e217d8d490929ba62f1a956e2e698b392792a695b",
+    ('star', 7, 1, None): "7d13bab232f28a9592ac2b759992995700d9b24cbe790ad1e42a215f9c15016e",
+    ('star', 7, 2, None): "7d13bab232f28a9592ac2b759992995700d9b24cbe790ad1e42a215f9c15016e",
+    ('star', 300, 1, None): "2a3e29123baeabd2debbadcde02a48403cfd6ca023e8491d2c2d4d4fac4c09c1",
+    ('star', 300, 2, None): "2a3e29123baeabd2debbadcde02a48403cfd6ca023e8491d2c2d4d4fac4c09c1",
+    ('random-tree', 1, 1, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('random-tree', 1, 2, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('random-tree', 2, 1, None): "0e69560641b550d86bdf489eb4711841ec80907cadb7b11792821a9dfd374fee",
+    ('random-tree', 2, 2, None): "0e69560641b550d86bdf489eb4711841ec80907cadb7b11792821a9dfd374fee",
+    ('random-tree', 7, 1, None): "eeaf8fbeb7aa37cdef4e9c775b8689538cf15663c95c2fb4c66508680c8556fa",
+    ('random-tree', 7, 2, None): "d58fd7e52a447fac532365c02f207cf3dfd35ca8cde9e165ecf21c2e8c84da2e",
+    ('random-tree', 300, 1, None): "440abee7454a2091c178296eefd45587a71740d141b4a20d6082c3ac04109414",
+    ('random-tree', 300, 2, None): "333aac077a8ebbb3e389f62b7f56095f5009ef27e05137488623dc4b176abd2e",
+    ('cograph', 1, 1, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('cograph', 1, 2, None): "6d4559f6ad2ad646d97456e724c50d6ce4777146b1bd42c34c2295d9db7fd5cf",
+    ('cograph', 2, 1, None): "e99961e67a326d283af8d8b450f3758f5e92050c78fcac1906474617ea4afcae",
+    ('cograph', 2, 2, None): "e99961e67a326d283af8d8b450f3758f5e92050c78fcac1906474617ea4afcae",
+    ('cograph', 7, 1, None): "74927d1d134290e429b2316e094025e9b964a22cd47bb87c971eab2a53a2e7ac",
+    ('cograph', 7, 2, None): "4998f94f6c4b011a8572d7080bc156daf365c76eb93c80919382217bdc26a77c",
+    ('cograph', 300, 1, None): "ded2a37012e8202d1822680fa5750dd5b38bc4981bc1249b81ccca995ad1fbd9",
+    ('cograph', 300, 2, None): "95fd97ea039100f6c91118bb7b277e75201ade41ceda6fe623fb617b99e81e0b",
+    ('cograph', 7, 3, 0): "c1e6cb380f05b8f89cd8c203d093a1a9361a8716b13f8034693feae3012a6e4f",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS, key=repr), ids=repr)
+    def test_output_is_pinned(self, capsys, case):
+        family, n, seed, latency = case
+        argv = ["gen", family, "--n", str(n), "--seed", str(seed)]
+        if latency is not None:
+            argv += ["--latency", str(latency)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("family", ["path", "star", "random-tree", "cograph"])
+    def test_builds_one_tree(self, capsys, monkeypatch, family):
+        calls = []
+
+        def counted(name):
+            original = getattr(kexpr, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(kexpr, name, wrapper)
+
+        counted("canonicalize_names")
+        counted("fold")
+        assert main(["gen", family, "--n", "40", "--seed", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert calls == []
+        assert leaf_names(parse(doc["kexpr"])) == [str(v) for v in range(40)]
 
 
 class TestEdgeLists:

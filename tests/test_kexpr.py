@@ -1,9 +1,11 @@
-"""Parser, printer, evaluator, validators, lifting, and generators."""
+"""Parser, printer, evaluator, validators, lifting, generators, and node values."""
 
+import contextlib
 import random
 import sys
 import time
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -578,3 +580,114 @@ def test_deeply_nested_expressions_do_not_recurse():
     expr = path_expression(30000)
     assert evaluate(expr).graph.n == 30000
     assert parse(unparse(expr)) is not None
+
+
+# a deep tree built from a list of leaf names, the first name deepest
+DEEP = {
+    "path-20000": (20_000, lambda names: path_expression(len(names), names)),
+    "union-chain-2000": (
+        2_000,
+        lambda names: reduce(Union, [Leaf(1, name) for name in names]),
+    ),
+}
+
+
+def _snapshot(expr):
+    """The tree's text and, for each node, the objects its fields hold."""
+    nodes, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        fields = tuple(getattr(node, f) for f in node.__slots__)
+        nodes.append((node, fields))
+        stack += [v for v in fields if isinstance(v, (Leaf, Union, Eta, Rho))]
+    return unparse(expr), nodes
+
+
+def _unchanged(expr, snapshot):
+    text, nodes = snapshot
+    return unparse(expr) == text and all(
+        getattr(node, f) is value
+        for node, fields in nodes
+        for f, value in zip(node.__slots__, fields)
+    )
+
+
+class TestNodeValues:
+    """Nodes compare, hash and print as values, without recursion."""
+
+    @pytest.mark.parametrize("size, build", DEEP.values(), ids=DEEP)
+    def test_deep_trees(self, size, build):
+        names = [f"v{i}" for i in range(size)]
+        expr = build(names)
+        copy = parse(unparse(expr))
+        assert copy is not expr
+        assert copy == expr and not copy != expr
+        assert hash(copy) == hash(expr)
+        assert repr(copy) == repr(expr)
+        assert repr(expr).count("Leaf(") == size
+        assert build(["w"] + names[1:]) != expr  # only the deepest leaf differs
+
+    def test_repr_of_a_union_chain(self):
+        chain = DEEP["union-chain-2000"][1]([f"v{i}" for i in range(2_000)])
+        text = repr(chain)
+        assert text.startswith(
+            "Union(left=" * 1_999
+            + "Leaf(label=1, name='v0'), right=Leaf(label=1, name='v1'))"
+        )
+        assert text.endswith(", right=Leaf(label=1, name='v1999'))")
+
+    def test_repr_is_the_dataclass_text(self):
+        expr = parse("eta(2,1, U(2(v), rho(3->1, 1(u))))")
+        assert repr(expr) == (
+            "Eta(a=2, b=1, child=Union(left=Leaf(label=2, name='v'), "
+            "right=Rho(a=3, b=1, child=Leaf(label=1, name='u'))))"
+        )
+        assert repr(Union("x", 3)) == "Union(left='x', right=3)"
+
+    def test_class_is_part_of_the_value(self):
+        x = Leaf(1, "a")
+        assert Eta(1, 2, x) != Rho(1, 2, x)
+        assert Leaf(1, "a") != (1, "a") and (1, "a") != Leaf(1, "a")
+        assert Leaf(1, "a") == Leaf(1, "a") != Leaf(2, "a")
+        assert Union(x, Leaf(1, "b")) != Union(Leaf(1, "b"), x)
+
+    @settings(max_examples=200)
+    @given(expressions())
+    def test_equal_trees_hash_alike(self, expr):
+        copy = parse(unparse(expr))
+        assert copy == expr and hash(copy) == hash(expr)
+        assert len({expr, copy}) == 1
+
+    def test_normalize_shares_what_it_keeps(self):
+        clean = parse(P5_TEXT)
+        assert normalize_irredundant(clean) is clean
+        expr = parse("U(eta(2,1, eta(2,1, U(2(v), 1(u)))), rho(1->2, 1(w)))")
+        out = normalize_irredundant(expr)
+        assert unparse(out) == "U(eta(2,1, U(2(v), 1(u))), rho(1->2, 1(w)))"
+        assert out.left is expr.left.child and out.right is expr.right
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: parse(unparse(e)),
+            evaluate,
+            check_irredundant,
+            normalize_irredundant,
+            canonicalize_names,
+            lambda e: lift_targets(e, leaf_names(e)[::2]),
+            lambda e: CliqueWidthSolver(e, (1,) * len(leaf_names(e)), 2).select(2),
+        ],
+        ids=["parse", "evaluate", "check_irredundant", "normalize_irredundant",
+             "canonicalize_names", "lift_targets", "select"],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [P5_TEXT, "U(eta(2,1, eta(2,1, U(2(v), 1(u)))), rho(1->2, 1(w)))"],
+        ids=["path-5", "idle-eta"],
+    )
+    def test_calls_leave_their_input_alone(self, call, text):
+        expr = parse(text)
+        snapshot = _snapshot(expr)
+        with contextlib.suppress(KExprError):  # the solver refuses a redundant tree
+            call(expr)
+        assert _unchanged(expr, snapshot)
