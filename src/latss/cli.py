@@ -38,7 +38,7 @@ from .graphs import (
     ActivationTrace,
     Graph,
     Instance,
-    _check_latency,
+    _check_count,
     _check_thresholds,
     is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
     is_tree,  # unused here; perfbench/tracing.py rebinds it by this name
@@ -377,7 +377,7 @@ def _instance_doc_from_expression(
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.latency is not None:
-        _check_latency(args.latency)
+        _check_count(args.latency, "latency")
     rng = Random(args.seed)
     # built per call, so each builder is looked up on kexpr when it runs
     build = {

@@ -37,49 +37,28 @@ gives the seed budget, and each class total is bounded below by the
 targets in that root label class.  A real cascade never resumes after a
 round i >= 1 that activates nothing, so the root scan fixes every later
 round to zero.  Round 0 is exempt: threshold-0 vertices fire at round 1
-without seeds.  The scan takes seed rounds in increasing seed count, so
-the first satisfiable query within a budget uses the fewest seeds of
-any: one scan at budget n answers the minimisation.
+without seeds.
 
-The scan starts at a seed floor, a bound below which no cascade meets
-the requirement and every target.  With no threshold 0, a vertex
-active by round latency lies within latency hops of a seed.  So targets
-whose latency-balls are pairwise disjoint need distinct seeds, a target
-whose threshold exceeds its degree counting as its own ball, and s
-seeds activate at most s plus the s largest numbers of vertices that
-can fire within latency hops of one vertex.  The floor skips only seed
-counts that no cascade meets, so the matrices from it on come in the
-same order, and answers and witnesses do not change.
-
-When the scan reaches the first matrix of seed count s, every smaller
-count is refuted, by the floor or by the search, so any s seeds that
-reach the requirement and every target are an optimum.  The scan tries
-a greedy seed chain S_1 ⊂ S_2 ⊂ ... first.  Each step adds the vertex
-whose cascade reaches the most targets, then the most vertices, ties
-going to the smallest id.  A candidate is scored from the current set's
-fire rounds: a new seed moves only vertices within latency hops of it,
-found one hop a round from those that fired the round before.  A score
-is kept until a seed added later moves a vertex near it.  If S_s
-reaches the requirement and every target, by the tally the scores add
-up to, S_s is the answer and the memo is left alone; it holds only what
-the DP proved.  Otherwise the matrices of count s are searched in
-order.  On dense graphs at a large latency one seed often suffices, and
-the search at the optimum, nearly all of the time there, never runs.
-
-The floor and the chain read only the graph, the thresholds, the
-latency and the targets, never the expression, so one bounds object
-made from those alone holds both.  It simulates the empty seed set when
-made; the floor's halves and the chain's seeds are made on first use
-and kept, so a budget sweep makes each once.  The scan asks it before
-anything else: a floor above the budget refuses, and a chain prefix of
-the floor's size that meets the requirement and every target is the
-answer, the same set the root scan would return, since that cascade's
-own count matrix is admissible at the floor.  Only otherwise does the
-solver build its node tables, memo and caches, on the DP's first use;
-``query`` and ``reconstruct`` build them too.  The constructor walks
-the expression once for the width and well-formedness verdict, and
-once more to evaluate it unless the caller passes the evaluation it
-already made; renumbered labels are mapped onto that evaluation.
+The root scan is one loop over seed counts s, from a seed floor up to
+the budget or n, whichever is less.  No cascade with fewer seeds than
+the floor meets the requirement and every target, and each count below
+s was refuted before s is tried, so the first s that works is the
+optimum: one scan at budget n answers the minimisation.  At each s the
+greedy seed chain's first s seeds are the answer if, by its tally, they
+meet the requirement and every target; the memo is left alone, since it
+holds only what the DP proved.  Otherwise the root count matrices of
+seed count s are searched in lexicographic order, and the first
+satisfiable one's witness gives the seeds.  The floor and the chain
+(see ``_Bounds``) read only the graph, the thresholds, the latency and
+the targets, never the expression.  So a floor above the budget leaves
+no count to try, and a chain that answers at the floor does so before
+the solver builds its node tables, memo and caches, which it does on
+the DP's first use; ``query`` and ``reconstruct`` build them too.  On
+dense graphs at a large latency one seed often suffices, and the search
+never runs.  The constructor walks the expression once for the width
+and well-formedness verdict, and once more to evaluate it unless the
+caller passes the evaluation it already made; renumbered labels are
+mapped onto that evaluation.
 
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
@@ -115,7 +94,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     ActivationTrace,
     Graph,
-    _check_latency,
+    _check_count,
     _vertex_set,
     normalize_thresholds,
     simulate,
@@ -248,34 +227,35 @@ def _gained(grid: Grid, gain: int) -> Grid:
     return tuple(rows)
 
 
-def _rows_by_sum(lo, hi, cap: int, floor: int) -> Iterator[tuple[int, ...]]:
-    """Rows with lo <= row <= hi summing to floor..cap, by sum, then lexicographic.
+def _rows_by_sum(lo, hi, total: int) -> Iterator[tuple[int, ...]]:
+    """Rows with lo <= row <= hi summing to ``total``, in lexicographic order.
 
-    Each row steps to the next of its sum: the rightmost entry that can
-    grow while the entries after it can still shrink grows by one, and
-    those entries are refilled with the least values that complete the
-    sum.  Rows come lazily, at O(k) each, with no recursion.
+    Each row steps to the next: the rightmost entry that can grow while
+    the entries after it can still shrink grows by one, and those entries
+    are refilled with the least values that complete the sum.  Rows come
+    lazily, at O(k) each, with no recursion.
     """
     k = len(lo)
     # least and greatest sums of the entries from index i on
     lo_from = [*accumulate(reversed(lo), initial=0)][::-1]
     hi_from = [*accumulate(reversed(hi), initial=0)][::-1]
+    if not lo_from[0] <= total <= hi_from[0]:
+        return
     row = list(lo)
-    for total in range(max(floor, lo_from[0]), min(cap, hi_from[0]) + 1):
-        i, rest = -1, total
-        while True:
-            for j in range(i + 1, k):
-                row[j] = max(lo[j], rest - hi_from[j + 1])
-                rest -= row[j]
-            yield tuple(row)
-            for i in range(k - 1, -1, -1):
-                if row[i] < hi[i] and rest > lo_from[i + 1]:
-                    break
-                rest += row[i]
-            else:
+    i, rest = -1, total
+    while True:
+        for j in range(i + 1, k):
+            row[j] = max(lo[j], rest - hi_from[j + 1])
+            rest -= row[j]
+        yield tuple(row)
+        for i in range(k - 1, -1, -1):
+            if row[i] < hi[i] and rest > lo_from[i + 1]:
                 break
-            row[i] += 1
-            rest -= 1
+            rest += row[i]
+        else:
+            return
+        row[i] += 1
+        rest -= 1
 
 
 def _layers(
@@ -525,7 +505,7 @@ class CliqueWidthSolver:
         self.labeled = _labeled
         if _labeled.violations:
             raise IrredundancyError(list(_labeled.violations))
-        _check_latency(latency)
+        _check_count(latency, "latency")
         self.latency = latency
         self.thresholds = normalize_thresholds(_labeled.graph, thresholds)
         self.targets = _vertex_set(_labeled.graph.n, targets, "target")
@@ -830,18 +810,15 @@ class CliqueWidthSolver:
 
     # -- root-side scanning -------------------------------------------------
 
-    def _root_counts(
-        self, seed_cap: int, min_total: int, seed_floor: int
-    ) -> Iterator[CountMatrix]:
-        """Admissible root count matrices, by seed count, then lexicographic.
+    def _root_counts(self, seeds: int, min_total: int) -> Iterator[CountMatrix]:
+        """Admissible root count matrices with ``seeds`` seeds, lexicographically.
 
         Each column sum lies between the targets and the size of its
-        root label class; the seed row sums to ``seed_floor..seed_cap``
-        and the whole matrix to at least ``min_total``.  A row i >= 1 that
-        sums to zero ends the cascade, so every later row is zero.  Row
-        i >= 1 of a class is at most its bound at round i with no
-        reduction (see :meth:`_exceeds_bound`) less the class total of
-        rows 1..i-1.
+        root label class; the seed row sums to ``seeds`` and the whole
+        matrix to at least ``min_total``.  A row i >= 1 that sums to zero
+        ends the cascade, so every later row is zero.  Row i >= 1 of a
+        class is at most its bound at round i with no reduction (see
+        :meth:`_exceeds_bound`) less the class total of rows 1..i-1.
         """
         root = self.root_index
         rows = self.latency + 1
@@ -852,7 +829,7 @@ class CliqueWidthSolver:
             if i < rows - 1:
                 need = zero_row
             if i == 0:
-                return _rows_by_sum(need, left, seed_cap, seed_floor)
+                return _rows_by_sum(need, left, seeds)
             hi = (
                 min(c, grid[min(total, len(grid) - 1)][0] - f)
                 for c, f, grid in zip(left, fired, bounds)
@@ -896,37 +873,24 @@ class CliqueWidthSolver:
     def _scan(self, budget: int, requirement: int) -> frozenset[int] | None:
         """The fewest seeds within the budget that meet the requirement, or None.
 
-        The bounds answer first.  No set of fewer seeds than the floor
-        meets the requirement and every target, so a floor above the
-        budget refuses, as does one above n, which only a requirement
-        above n gives.  A chain prefix of the floor's size that meets
-        them is an optimum, and the one the scan below returns: its own
-        cascade's count matrix is admissible at the floor, the scan's
-        first seed count.  Only otherwise are the DP's tables built.  At
-        the first matrix of each seed count every smaller count is
-        refuted, so the chain's set of that size answers when its tally
-        says it reaches the requirement and every target; otherwise the
-        matrices of that count are searched, and the first satisfiable
-        one's witness gives the seeds.
+        Tries each seed count from the floor on: the chain's seeds of that
+        count if they meet it all, else the first satisfiable root matrix
+        of that count, whose witness gives the seeds.
         """
+        _check_count(budget, "budget")
+        _check_count(requirement, "requirement")
         bounds = self._bounds
-        level = bounds.seed_floor(requirement)
-        if level > min(budget, self.labeled.graph.n):
-            return None
-        seeds = bounds.chain_seeds(level, requirement)
-        if seeds is not None:
-            return seeds
-        self._build()
-        root, zero = self.root_index, self._zero
-        for matrix in self._root_counts(budget, requirement, level):
-            if sum(matrix[0]) > level:
-                level = sum(matrix[0])
-                seeds = bounds.chain_seeds(level, requirement)
-                if seeds is not None:
-                    return seeds
-            counts = tuple(zip(*matrix))
-            if self._gamma(root, counts, zero):
-                return self._process(root, counts, zero)[0]
+        top = min(budget, self.labeled.graph.n)
+        for size in range(bounds.seed_floor(requirement), top + 1):
+            seeds = bounds.chain_seeds(size, requirement)
+            if seeds is not None:
+                return seeds
+            self._build()
+            root, zero = self.root_index, self._zero
+            for matrix in self._root_counts(size, requirement):
+                counts = tuple(zip(*matrix))
+                if self._gamma(root, counts, zero):
+                    return self._process(root, counts, zero)[0]
         return None
 
     def query(self, counts: CountMatrix, reductions: ReductionMatrix) -> bool:

@@ -8,8 +8,9 @@ construction and every function is pure, so shared instances are safe
 to use from multiple threads.
 
 Input checks live here alone: ``Graph`` checks its edges, and every engine
-checks vertex ids, thresholds and latencies with ``_vertex_set``,
-``_check_thresholds`` and ``_check_latency``: plain ints, never bools or floats.
+checks vertex ids, thresholds, latencies, budgets and requirements with
+``_vertex_set``, ``_check_thresholds`` and ``_check_count``: plain ints,
+never bools or floats.
 """
 
 from __future__ import annotations
@@ -185,11 +186,12 @@ def _vertex_set(n: int, vertices: Iterable[int], what: str) -> frozenset[int]:
     return chosen
 
 
-def _check_latency(latency: int) -> None:
-    if type(latency) is not int:
-        raise ValueError(f"latency {latency!r} is not an int")
-    if latency < 0:
-        raise ValueError("latency must be non-negative")
+def _check_count(value: int, what: str) -> None:
+    """Refuse a latency, budget or requirement that is not a non-negative int."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an int")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative")
 
 
 def _check_thresholds(n: int, thresholds: Sequence[int]) -> None:
@@ -272,7 +274,7 @@ def simulate(
     """
     n = graph.n
     _check_thresholds(n, thresholds)
-    _check_latency(latency)
+    _check_count(latency, "latency")
     seed_set = _vertex_set(n, seed, "seed")
 
     active = bytearray(n)
@@ -326,7 +328,7 @@ class Instance:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
         n = self.graph.n
         _check_thresholds(n, self.thresholds)
-        _check_latency(self.latency)
+        _check_count(self.latency, "latency")
         if self.requirement is not None and self.targets is not None:
             raise ValueError("requirement and targets are mutually exclusive")
         if self.requirement is None and self.targets is None:

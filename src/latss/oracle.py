@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, _check_latency, _check_thresholds, _vertex_set
+from .graphs import Graph, _check_count, _check_thresholds, _vertex_set
 
 DEFAULT_LIMIT = 20
 
@@ -67,7 +67,9 @@ def _first_seed(
         )
     n = graph.n
     _check_thresholds(n, thresholds)
-    _check_latency(latency)
+    _check_count(latency, "latency")
+    _check_count(max_size, "budget")
+    _check_count(requirement, "requirement")
     tmask = sum(1 << v for v in _vertex_set(n, targets, "target"))
     masks = neighbor_masks(graph)
     for size in range(min(max_size, n) + 1):

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    _check_latency,
+    _check_count,
     _vertex_set,
     connected_components,  # unused here; perfbench/tracing.py rebinds it by this name
     is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
@@ -107,7 +107,7 @@ def solve_detailed(
     """
     n = tree.n
     parent, order, _ = root_forest(tree)
-    _check_latency(latency)
+    _check_count(latency, "latency")
     required = set(_vertex_set(n, targets, "target"))
     thr = normalize_thresholds(tree, thresholds)
 

@@ -34,7 +34,7 @@ from latss.kexpr import (
     unparse,
 )
 
-from strategies import expressions, forests, graphs
+from strategies import expressions, forests, graphs, random_expression
 
 
 def run(capsys, argv):
@@ -658,6 +658,74 @@ def _drawn_document(expr, data):
     else:
         doc["targets"] = sorted(data.draw(st.sets(st.integers(0, n - 1))))
     return doc
+
+
+class TestCwdWitnesses:
+    """``solve --method cwd`` answers on a seeded corpus, pinned byte for byte."""
+
+    # sha256 over each solve's exit code, stdout without wall_time_s, and
+    # stderr, recorded when the root scan still special-cased the seed floor
+    DIGEST = "b983df75e33fc775cc8228e19429e7360bba14614632c5baf4050c3e9e05a036"
+
+    @staticmethod
+    def corpus():
+        """Paths, trees, cographs and random expressions, in lA, lbA and lba turns."""
+        rng = random.Random(54)
+        for i in range(300):
+            n = rng.randint(4, 9)
+            expr = (
+                lambda: path_expression(n),
+                lambda: tree_expression(random_tree(n, rng)),
+                lambda: cograph_expression(n, rng),
+                lambda: random_expression(rng, max_vertices=9, k=3),
+            )[i % 4]()
+            graph = evaluate(expr).graph
+            n = graph.n
+            doc = {
+                "n": n,
+                "edges": _edge_list(graph),
+                "thresholds": [rng.randint(1, graph.degree(v) + 1) for v in range(n)],
+                "lambda": rng.randint(0, 3),
+                "kexpr": unparse(expr),
+            }
+            variant = i // 4 % 3
+            if variant < 2:
+                doc["targets"] = sorted(rng.sample(range(n), rng.randint(1, n)))
+            if variant:
+                doc["budget"] = rng.randint(0, n // 2)
+            if variant == 2:
+                doc["alpha"] = rng.randint(0, n)
+            yield doc
+
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch):
+        # which bound answered each feasible solve: the chain, else a DP witness
+        chain_seeds = cliquewidth._Bounds.chain_seeds
+        hits = []
+
+        def spied(self, size, requirement):
+            seeds = chain_seeds(self, size, requirement)
+            hits.append(seeds is not None)
+            return seeds
+
+        monkeypatch.setattr(cliquewidth._Bounds, "chain_seeds", spied)
+        digest = hashlib.sha256()
+        seen = set()
+        for doc in self.corpus():
+            hits.clear()
+            argv = ["solve", "--method", "cwd", "--instance", write(tmp_path, doc)]
+            code, out, err = run_captured(argv)
+            result = json.loads(out) if out else {}
+            result.pop("wall_time_s", None)
+            digest.update(repr((code, json.dumps(result), err)).encode())
+            answer = None if code else "chain" if any(hits) else "dp"
+            seen.add((result.get("variant"), code, answer))
+        # every variant answers feasible and infeasible, and both the chain
+        # and a DP witness answer
+        assert {(v, c) for v, c, _ in seen} == {
+            (v, c) for v in ("lA", "lbA", "lba") for c in (0, 1)
+        } - {("lA", 1)}
+        assert {a for _, _, a in seen} == {None, "chain", "dp"}
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestSolveFuzz:

@@ -1,7 +1,7 @@
 """Clique-width solver: query semantics, witnesses, and oracle agreement."""
 
 import random
-from itertools import chain, product
+from itertools import chain, combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -341,19 +341,48 @@ class TestDecideSelect:
             assert all(sum(counts[0]) <= budget for counts in scanned)
             assert scanned == sorted(scanned, key=lambda c: (sum(c[0]), c))
 
-    def test_seed_rows_come_by_sum_then_lexicographic(self):
+    def test_root_counts_hold_every_cascade(self):
+        # the scan refutes a seed count by its root matrices alone, so every
+        # cascade that meets the requirement and every target must have its
+        # count matrix among those of its seed count
+        rng = random.Random(31)
+        for _ in range(60):
+            expr = random_expression(rng, max_vertices=7, k=3)
+            graph = evaluate(expr).graph
+            n = graph.n
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
+            targets = frozenset(v for v in range(n) if rng.random() < 0.3)
+            for latency in range(4):
+                solver = CliqueWidthSolver(expr, thr, latency, targets)
+                solver._build()
+                labels = solver.labeled.labels
+                classes = range(1, solver.k + 1)
+                requirement = rng.randint(0, n)
+                admissible = {}
+                for size in range(n + 1):
+                    for seeds in combinations(range(n), size):
+                        trace = simulate(graph, thr, seeds, latency)
+                        final = trace.final
+                        if len(final) < requirement or not targets <= final:
+                            continue
+                        matrix = tuple(
+                            tuple(map([labels[v] for v in step].count, classes))
+                            for step in trace.deltas
+                        )
+                        if size not in admissible:
+                            found = solver._root_counts(size, requirement)
+                            admissible[size] = set(found)
+                        assert matrix in admissible[size]
+
+    def test_seed_rows_of_one_sum_come_lexicographic(self):
         rng = random.Random(29)
         for _ in range(400):
             lo = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
             hi = [x + rng.randint(0, 3) for x in lo]
-            cap = rng.randint(0, sum(hi) + 1)
-            floor = rng.randint(0, cap + 1)
+            total = rng.randint(0, sum(hi) + 1)
             boxed = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            want = sorted(
-                (row for row in boxed if floor <= sum(row) <= cap),
-                key=lambda r: (sum(r), r),
-            )
-            assert list(_rows_by_sum(lo, hi, cap, floor)) == want
+            want = [row for row in boxed if sum(row) == total]
+            assert list(_rows_by_sum(lo, hi, total)) == want
 
     def test_agrees_with_brute_force(self):
         # trees, then width-4 expressions: there a satisfiable root matrix

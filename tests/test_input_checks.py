@@ -1,4 +1,4 @@
-"""One parametrised refusal of bad vertex ids, thresholds and latencies.
+"""One parametrised refusal of bad ids, thresholds, latencies, budgets, requirements.
 
 Every engine that takes them refuses a bool, a float, a string, None, a
 list, a negative value and (for vertex ids) the id n with ValueError:
@@ -13,21 +13,39 @@ import pytest
 from latss.cliquewidth import CliqueWidthSolver
 from latss.graphs import Graph, Instance, path_graph, simulate
 from latss.kexpr import path_expression
-from latss.oracle import brute_min_target
+from latss.oracle import brute_decision, brute_min_target
 from latss.trees import solve
 
 N = 3
-GOOD = {"thresholds": (1, 1, 1), "latency": 2, "vertices": [0, 1, 2]}
+GOOD = {"thresholds": (1, 1, 1), "latency": 2, "vertices": [0, 1, 2],
+        "budget": N, "requirement": N}
 # each engine on the path 0-1-2, with vertex ids as targets (seeds for simulate)
 ENGINES = {
-    "Graph": lambda thresholds, latency, vertices: Graph(N, [(vertices[0], 2)]),
-    "simulate": lambda *args: simulate(path_graph(N), args[0], args[2], args[1]),
-    "Instance": lambda *args: Instance(path_graph(N), *args[:2], targets=args[2]),
-    "trees.solve": lambda *args: solve(path_graph(N), *args),
-    "CliqueWidthSolver": lambda *args: CliqueWidthSolver(
-        path_expression(N), *args
-    ).select(N),
-    "oracle.brute_min_target": lambda *args: brute_min_target(path_graph(N), *args),
+    "Graph": lambda a: Graph(N, [(a["vertices"][0], 2)]),
+    "simulate": lambda a: simulate(
+        path_graph(N), a["thresholds"], a["vertices"], a["latency"]
+    ),
+    "Instance": lambda a: Instance(
+        path_graph(N), a["thresholds"], a["latency"], targets=a["vertices"]
+    ),
+    "trees.solve": lambda a: solve(
+        path_graph(N), a["thresholds"], a["latency"], a["vertices"]
+    ),
+    "CliqueWidthSolver": lambda a: CliqueWidthSolver(
+        path_expression(N), a["thresholds"], a["latency"], a["vertices"]
+    ).select(a["budget"], a["requirement"]),
+    "oracle.brute_min_target": lambda a: brute_min_target(
+        path_graph(N), a["thresholds"], a["latency"], a["vertices"]
+    ),
+    "oracle.brute_decision": lambda a: brute_decision(
+        path_graph(N), a["thresholds"], a["latency"], a["budget"], a["requirement"]
+    ),
+}
+# the kinds of entry each engine takes
+KINDS = {
+    "Graph": ("vertices",),
+    "CliqueWidthSolver": ("vertices", "thresholds", "latency", "budget", "requirement"),
+    "oracle.brute_decision": ("thresholds", "latency", "budget", "requirement"),
 }
 # 0.5 and 1.5 lie between valid values, so only a type check refuses them
 BAD = [1.0, 0.5, 1.5, True, "0", None, [0], -1, N]
@@ -35,26 +53,31 @@ BAD = [1.0, 0.5, 1.5, True, "0", None, [0], -1, N]
 
 def _cases():
     for engine in ENGINES:
-        for kind in ("vertices", "thresholds", "latency"):
-            if engine == "Graph" and kind != "vertices":
-                continue
+        for kind in KINDS.get(engine, ("vertices", "thresholds", "latency")):
             for bad in BAD:
                 if bad == N and kind != "vertices":
-                    continue  # a threshold or latency of n is valid
+                    continue  # n is a valid threshold, latency, budget or requirement
                 yield pytest.param(engine, kind, bad, id=f"{engine}-{kind}-{bad!r}")
 
 
 @pytest.mark.parametrize("engine, kind, bad", _cases())
 def test_refused_with_value_error(engine, kind, bad):
     args = dict(GOOD)
-    if kind == "vertices":
-        args["vertices"] = [bad]
-    elif kind == "thresholds":
+    if kind == "thresholds":
         args["thresholds"] = (1, bad, 1)
     else:
-        args["latency"] = bad
+        args[kind] = [bad] if kind == "vertices" else bad
     with pytest.raises(ValueError):
-        ENGINES[engine](args["thresholds"], args["latency"], args["vertices"])
+        ENGINES[engine](args)
+
+
+@pytest.mark.parametrize("budget", [N + 1, 10**30])
+def test_budget_above_n_is_valid(budget):
+    solver = CliqueWidthSolver(path_expression(N), (1, 1, 1), 2)
+    assert solver.select(budget, N) == frozenset({0})
+    assert brute_decision(path_graph(N), (1, 1, 1), 2, budget, N) == (
+        True, frozenset({0})
+    )
 
 
 # seeding the middle vertex of the path 0-1-2 (labels 3, 2, 1) at latency 1
