@@ -528,8 +528,6 @@ class CliqueWidthSolver:
         self._build_nodes()
         self._zero = ((0,) * self.latency,) * self.k
         self._memo = [{} for _ in self._kind]
-        # per node, set on its first memo miss (see _exceeds_bound)
-        self._safe: list[int | None] = [None] * len(self._kind)
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
 
@@ -687,24 +685,12 @@ class CliqueWidthSolver:
         most that plus R, the largest of the class's reductions at rounds
         1..i: the running maximum, since a public query's reductions may
         fall.  The node's grid counts such vertices, and no process fires
-        more of the class in rounds 1..i.  The bound grows with i, so once
-        it covers the class's non-seed total no later round can bind; the
-        seeds alone can cover every class at once.
+        more of the class in rounds 1..i.  The bound grows with i, so a
+        class is checked round by round, on running totals made once per
+        call, only until its bound covers the class's non-seed total, and
+        not at all if the round-1 bound already does.
         """
         seeds = sum(next(zip(*counts)))
-        safe = self._safe[node]
-        if safe is None:
-            # the fewest seeds from which every class's round-1 bound, even
-            # without reductions, is its size; n + 1 when there are none
-            safe = self._safe[node] = max(
-                next(
-                    (a for a, row in enumerate(grid) if row[0] >= size),
-                    self.labeled.graph.n + 1,
-                )
-                for grid, size in zip(self._grids[node], self._label_counts[node])
-            )
-        if seeds >= safe:
-            return False
         rcap = self.rcap
         active = None
         for row, red, grid in zip(counts, reds, self._grids[node]):

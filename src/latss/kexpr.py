@@ -18,8 +18,9 @@ nested expressions — paths with hundreds of thousands of vertices — do
 not hit the interpreter's recursion limit; that holds for comparing,
 hashing and printing nodes too.
 
-Nodes are slotted value classes: equal by class and fields, hashable,
-and not frozen, since a frozen dataclass pays about three times a plain
+Nodes are slotted value classes: two trees are equal, and hash alike,
+when they list the same node classes and fields in post-order.  They are
+not frozen, since a frozen dataclass pays about three times a plain
 slot store for each field it sets.  Trees share subtrees, so a node is
 never mutated once built.  ``latss gen`` prints its expression as
 built, naming each leaf by its vertex id in the one print walk, rather
@@ -60,43 +61,32 @@ from .graphs import (
 class _Node:
     """Value semantics for the four node classes, without recursion.
 
-    Two trees are equal when they have the same shape, node classes and
-    fields; equal trees hash alike, and ``repr`` prints the dataclass
-    text.  Each walks the tree with an explicit stack, so a deep tree
-    does not hit the interpreter's recursion limit.
+    A node's value is its key: the class and fields of each node of its
+    tree, in post-order.  Each class has a fixed number of children, so
+    that sequence fixes the tree's shape.  Two trees are equal when their
+    keys are, and equal trees hash alike by construction.  ``repr``
+    prints the dataclass text.  The key comes from the iterative
+    post-order and ``repr`` keeps an explicit stack, so a deep tree does
+    not hit the interpreter's recursion limit.
     """
 
     __slots__ = ()
 
+    def _key(self) -> tuple:
+        return tuple(
+            (Leaf, n.label, n.name) if isinstance(n, Leaf)
+            else (Union,) if isinstance(n, Union)
+            else (type(n), n.a, n.b)
+            for n in _postorder(self)
+        )
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            x, y = pairs.pop()
-            if x is y:  # trees share subtrees
-                continue
-            if type(x) is not type(y):
-                return False
-            if isinstance(x, Leaf):
-                if x.label != y.label or x.name != y.name:
-                    return False
-            elif isinstance(x, Union):
-                pairs += ((x.right, y.right), (x.left, y.left))
-            elif x.a != y.a or x.b != y.b:
-                return False
-            else:
-                pairs.append((x.child, y.child))
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return fold(
-            self,
-            lambda n: hash((type(n), n.label, n.name)),
-            lambda n, l, r: hash((type(n), l, r)),
-            lambda n, c: hash((type(n), n.a, n.b, c)),
-            lambda n, c: hash((type(n), n.a, n.b, c)),
-        )
+        return hash(self._key())
 
     def __repr__(self) -> str:
         def push(value):  # a node is expanded later; anything else is a piece now
@@ -470,17 +460,24 @@ def _checked_postorder(expr: KExpr) -> tuple[list[KExpr], int]:
     w = 0
     for node in post:
         if isinstance(node, Leaf):
-            if node.label < 1:
-                raise KExprError(f"leaf {node.name!r} has label {node.label} < 1")
-            if node.name in names:
-                raise KExprError(f"duplicate vertex name {node.name!r}")
-            if not _NAME_RE.fullmatch(node.name):
-                raise KExprError(f"invalid vertex name {node.name!r}")
-            names.add(node.name)
-            if node.label > w:
-                w = node.label
+            label, name = node.label, node.name
+            if type(name) is not str:
+                raise KExprError(f"vertex name {name!r} is not a str")
+            if type(label) is not int:
+                raise KExprError(f"leaf {name!r} has label {label!r}, not an int")
+            if label < 1:
+                raise KExprError(f"leaf {name!r} has label {label} < 1")
+            if name in names:
+                raise KExprError(f"duplicate vertex name {name!r}")
+            if not _NAME_RE.fullmatch(name):
+                raise KExprError(f"invalid vertex name {name!r}")
+            names.add(name)
+            if label > w:
+                w = label
         elif not isinstance(node, Union):
             a, b = node.a, node.b
+            if type(a) is not int or type(b) is not int:
+                raise KExprError(f"labels {a!r} and {b!r} are not both ints")
             if a < 1 or b < 1:
                 raise KExprError("labels start at 1")
             if a == b:
@@ -496,8 +493,9 @@ def _checked_postorder(expr: KExpr) -> tuple[list[KExpr], int]:
 def validate(expr: KExpr) -> None:
     """Well-formedness for programmatically built trees.
 
-    Checks what the parser checks: positive labels, distinct labels in
-    every edge-insertion/rename, and globally unique leaf names.
+    Checks what the parser checks: labels that are positive ints,
+    distinct labels in every edge-insertion/rename, and leaf names that
+    are globally unique strings of word characters.
     """
     _checked_postorder(expr)
 

@@ -42,6 +42,7 @@ from latss.kexpr import (
     path_expression,
     star_expression,
     tree_expression,
+    unparse,
 )
 from latss.oracle import (
     _first_seed,
@@ -617,6 +618,53 @@ class TestThresholdBound:
         process = solver.reconstruct(counts, reds, node)
         mapped = [frozenset(to_local[v] for v in stage) for stage in process]
         assert verify_schedule(local, local_thr, counts, reds, mapped)
+
+    def test_exceeds_bound_matches_a_plain_reference(self):
+        # every class and every round i >= 1, with no shortcut: rounds
+        # 1..i fire more than the grid allows at A(i-1) active vertices
+        # and the largest reduction of rounds 1..i
+        def reference(solver, node, counts, reds):
+            active = [sum(col) for col in zip(*counts)]
+            for row, red, grid in zip(counts, reds, solver._grids[node]):
+                top = len(grid) - 1
+                for i in range(1, len(row)):
+                    bound = grid[min(sum(active[:i]), top)]
+                    if sum(row[1 : i + 1]) > bound[min(max(red[:i]), solver.rcap)]:
+                        return True
+            return False
+
+        rng = random.Random(2025)
+        verdicts = []
+        for _ in range(250):
+            expr = random_expression(rng, max_vertices=7)
+            graph = evaluate(expr).graph
+            thr = [rng.randint(0, graph.degree(v) + 1) for v in range(graph.n)]
+            lam = rng.randint(0, 3)
+            targets = [v for v in range(graph.n) if rng.random() < 0.3]
+            solver = CliqueWidthSolver(expr, thr, lam, targets)
+            solver._build()
+            for node in range(solver.node_count):
+                sizes = solver._label_counts[node]
+                least = solver._target_counts[node]
+                for _ in range(12):
+                    counts = []
+                    for lo, hi in zip(least, sizes):
+                        row = [0] * (lam + 1)
+                        for _ in range(rng.randint(lo, hi)):
+                            row[rng.randint(0, lam)] += 1
+                        counts.append(tuple(row))
+                    # reductions may fall from one round to the next
+                    reds = tuple(
+                        tuple(rng.randint(0, solver.rcap + 1) for _ in range(lam))
+                        for _ in sizes
+                    )
+                    counts = tuple(counts)
+                    want = reference(solver, node, counts, reds)
+                    assert solver._exceeds_bound(node, counts, reds) == want, (
+                        unparse(expr), thr, lam, node, counts, reds,
+                    )
+                    verdicts.append(want)
+        assert 0.05 < sum(verdicts) / len(verdicts) < 0.95
 
     def test_an_inner_query_over_the_bound_asks_no_child(self):
         # at U(1(a), 1(b)) neither vertex has a neighbour yet, so with no

@@ -275,8 +275,16 @@ class TestValidate:
             Eta(2, 2, Union(Leaf(2, "v"), Leaf(1, "u"))),
             Rho(1, 1, Leaf(1, "u")),
             Union(Leaf(1, "u"), Leaf(2, "u")),
+            Leaf(1.5, "a"),
+            Leaf(True, "a"),
+            Leaf("1", "a"),
+            Leaf(1, 5),
+            Eta(1.0, 2, Union(Leaf(1, "a"), Leaf(2, "b"))),
+            Rho(True, 2, Leaf(1, "u")),
         ],
-        ids=["label-0-leaf", "eta-2-2", "rho-1-1", "duplicate-names"],
+        ids=["label-0-leaf", "eta-2-2", "rho-1-1", "duplicate-names",
+             "float-label", "bool-label", "str-label", "int-name",
+             "eta-float-label", "rho-bool-label"],
     )
     @pytest.mark.parametrize(
         "check",
@@ -650,6 +658,17 @@ class TestNodeValues:
         assert Leaf(1, "a") != (1, "a") and (1, "a") != Leaf(1, "a")
         assert Leaf(1, "a") == Leaf(1, "a") != Leaf(2, "a")
         assert Union(x, Leaf(1, "b")) != Union(Leaf(1, "b"), x)
+        # the post-order key lists a, b, c in both groupings; only the
+        # fixed arity of each class tells them apart
+        a, b, c = Leaf(1, "a"), Leaf(1, "b"), Leaf(1, "c")
+        assert Union(Union(a, b), c) != Union(a, Union(b, c))
+        assert Eta(1, 2, x) != Eta(2, 1, x)
+        built = [
+            Eta(2, 1, Union(Union(Leaf(1, "a"), Leaf(2, "b")), Rho(2, 1, Leaf(2, "c"))))
+            for _ in range(2)
+        ]
+        assert built[0] is not built[1]
+        assert built[0] == built[1] and hash(built[0]) == hash(built[1])
 
     @settings(max_examples=200)
     @given(expressions())
