@@ -175,11 +175,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     trace = simulate(instance.graph, instance.thresholds, seed, instance.latency)
     elapsed = time.perf_counter() - start
-    rounds = [sorted(s) for s in trace.rounds]
+    # each round is the previous one merged with its step; trace.rounds
+    # would hold a set per round besides these lists
+    rounds = [sorted(trace.seed)]
+    for step in trace.steps[1:]:
+        merged = rounds[-1] + sorted(step)
+        merged.sort()  # two sorted runs: one linear merge
+        rounds.append(merged)
+    rounds += rounds[-1:] * (trace.latency + 1 - len(rounds))
     _emit(
         {
             "command": "simulate",
-            "seed": sorted(trace.seed),
+            "seed": rounds[0],
             "round_sizes": [len(r) for r in rounds],
             "rounds": rounds,
             "wall_time_s": elapsed,

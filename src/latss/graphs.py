@@ -89,12 +89,18 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def _breadth_first(graph: Graph) -> tuple[list[int | None], list[int], list[int]]:
+def _breadth_first(
+    graph: Graph,
+) -> tuple[list[int | None], list[int], list[int], list[int]]:
     """Breadth-first search of each component from its smallest vertex.
 
-    Returns ``(parent, order, starts)``: the vertex that reached each
-    vertex (None at a start), every vertex as reached, component by
-    component, and the index in ``order`` where each component starts.
+    Returns ``(parent, order, starts, ends)``: the vertex that reached
+    each vertex (None at a start), every vertex as reached, component by
+    component, the index in ``order`` where each component starts, and
+    ``ends[i]``, the length of ``order`` once ``order[i]``'s neighbours
+    were scanned.  The vertices first reached from ``order[i]`` are
+    appended in one block, ``order[a:ends[i]]``: a is ``ends[i - 1]``
+    (0 for i = 0), except at a start, where that is i and a is i + 1.
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -102,6 +108,7 @@ def _breadth_first(graph: Graph) -> tuple[list[int | None], list[int], list[int]
     seen = bytearray(n)
     order: list[int] = []
     starts: list[int] = []
+    ends: list[int] = []
     head = 0
     for start in range(n):
         if seen[start]:
@@ -117,12 +124,13 @@ def _breadth_first(graph: Graph) -> tuple[list[int | None], list[int], list[int]
                     seen[w] = 1
                     parent[w] = v
                     order.append(w)
-    return parent, order, starts
+            ends.append(len(order))
+    return parent, order, starts, ends
 
 
 def connected_components(graph: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
-    _, order, starts = _breadth_first(graph)
+    _, order, starts, _ = _breadth_first(graph)
     return [sorted(order[a:b]) for a, b in zip(starts, [*starts[1:], graph.n])]
 
 
@@ -138,6 +146,17 @@ def is_forest(graph: Graph) -> bool:
     return len(graph.edges) == graph.n - len(connected_components(graph))
 
 
+def _forest_search(
+    graph: Graph,
+) -> tuple[list[int | None], list[int], list[int], list[int]]:
+    """:func:`_breadth_first` of a forest; ValueError when the graph has a cycle."""
+    search = _breadth_first(graph)
+    # a forest has exactly one edge fewer than vertices per component
+    if len(graph.edges) != graph.n - len(search[2]):
+        raise ValueError("input graph has a cycle")
+    return search
+
+
 def root_forest(graph: Graph) -> tuple[list[int | None], list[int], list[int]]:
     """Root every component of a forest at its smallest vertex.
 
@@ -146,10 +165,7 @@ def root_forest(graph: Graph) -> tuple[list[int | None], list[int], list[int]]:
     breadth-first order); and ``roots`` has one root per component, by
     smallest vertex.  Raises ValueError when the graph has a cycle.
     """
-    parent, order, starts = _breadth_first(graph)
-    # a forest has exactly one edge fewer than vertices per component
-    if len(graph.edges) != graph.n - len(starts):
-        raise ValueError("input graph has a cycle")
+    parent, order, starts, _ = _forest_search(graph)
     roots = [order[i] for i in starts]
     order.reverse()
     return parent, order, roots
@@ -229,7 +245,9 @@ class ActivationTrace:
     nothing: no later round activates anything either.  :attr:`deltas`
     and :attr:`rounds` pad to ``latency + 1`` entries (materialized;
     avoid on very long traces); :meth:`active_at` and :attr:`final`
-    never pad.
+    never pad.  :attr:`rounds` holds a set per round, the sum of the
+    round sizes in all, so a caller that reads the rounds once and in
+    order, as ``latss simulate`` does, accumulates ``steps`` itself.
     """
 
     steps: tuple[frozenset[int], ...]

@@ -411,17 +411,22 @@ def _unparse(expr: KExpr, numbered: bool) -> str:
 
 
 def _postorder(expr: KExpr) -> list[KExpr]:
-    # a pre-order that takes right operands first, reversed, is the post-order
+    """Every node, children first; KExprError on anything that is not a node."""
+    # a pre-order that takes right operands first, reversed, is the post-order;
+    # one type() per node, compared by identity, is cheaper than isinstance
     out: list[KExpr] = []
     stack = [expr]
     while stack:
         node = stack.pop()
         out.append(node)
-        if isinstance(node, Union):
+        cls = type(node)
+        if cls is Union:
             stack.append(node.left)
             stack.append(node.right)
-        elif not isinstance(node, Leaf):
+        elif cls is Eta or cls is Rho:
             stack.append(node.child)
+        elif cls is not Leaf:
+            raise KExprError(f"{node!r} is not an expression node")
     out.reverse()
     return out
 
@@ -642,7 +647,8 @@ def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
     edge between an a-labeled and a b-labeled vertex — exactly the
     precondition the clique-width solver needs.  Each violation's
     ``path`` is built only when its eta violates, so the check is linear
-    in the expression size plus the number of edges.
+    in the expression size plus the number of edges.  Like
+    :func:`evaluate`, assumes a well-formed tree (see :func:`validate`).
     """
     return _evaluate(expr)[3]
 
@@ -654,6 +660,7 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
     some new edges while re-covering existing ones; such expressions
     must be rewritten by the caller.  Returns ``expr`` itself when no
     insertion is dropped; otherwise rebuilds only the changed spine.
+    Like :func:`evaluate`, assumes a well-formed tree (see :func:`validate`).
     """
     *_, idle, partial = _evaluate(expr)
     if partial is not None:

@@ -4,37 +4,53 @@ Processes vertices bottom-up (children strictly before parents).  For
 each vertex it tracks when the vertex would activate using its subtree
 alone (``time``), whether a descendant chain depends on this vertex's
 parent (``path`` / ``max_path``), and how many children are active
-early enough to help (``act``).  A vertex that must be activated
-is either self-sufficient, seeded, or delegated to its parent, which is
-then added to the set of vertices that must be activated.
+early enough to help (``act``).  A vertex that must be activated (a
+required vertex) is either self-sufficient, seeded, or delegated to its
+parent, which is then required too.
 
 One rule serves every vertex v with threshold t.  ``max_path`` is 1 plus
 the largest child ``path`` and ``act`` counts the children active
 before round ``latency - max_path``; both are 0 without children.  A
+child's ``path`` is -1 unless it delegated to v, so v is required
+exactly when it is a target or ``max_path >= 1``.  A
 required v is seeded when ``max_path == latency``, when
 ``act <= t - 2``, or when ``act == t - 1`` at a root; otherwise, at
 ``act == t - 1``, it is delegated to its parent.
 Latency 0 needs no case of its own (``max_path == latency`` seeds every
 target), nor do childless vertices (t = 1 delegates, a larger t seeds).
 
+The state is kept by *position*, a vertex's index in breadth-first
+order.  The search appends the children of each vertex it scans in one
+block, so a vertex's children are one contiguous slice of positions
+after its own, and it reads their times and paths as ``time[a:b]`` and
+``path[a:b]``.  The slice bounds come from the rooting search itself
+(:func:`~latss.graphs._breadth_first`), and sweeping the positions from
+last to first visits children before parents.  Only
+:func:`solve_detailed` maps the state back to vertex ids.
+
 Values above the latency bound all behave as "never", so times are
 capped at ``latency + 1``; with that sentinel all arithmetic stays on
-small ints.  Each vertex costs O(#children) thanks to a linear-time
-selection of the t-th smallest child time, so a solve is O(V) overall.
+small ints.  The t-th smallest child time comes from sorting a short
+children slice and from :func:`select_tth_smallest`, a linear-time
+selection, for a long one, so each vertex costs O(#children) and a
+solve is O(V) overall, however wide a vertex is.
 
-The solver accepts any normalized thresholds.  Vertices needing more
-than their degree can supply are seeded directly when required, and
-vertices with threshold 0 self-activate at round 1; both extensions are
-validated against brute force in the test suite rather than assumed.
+The solver takes any non-negative int thresholds.  Capping them at
+degree + 1 would change nothing: a required vertex that needs more than
+its degree can supply is seeded either way, and its subtree alone never
+activates it.  Vertices with threshold 0 self-activate at round 1.
+Both extensions are validated against brute force in the test suite
+rather than assumed.
 
-Forests are accepted.  One breadth-first pass (:func:`~latss.graphs.root_forest`)
-roots every component at its smallest vertex and rejects a graph with a
-cycle.  Components never interact, so one children-first sweep over all
-of them solves each independently.
+Forests are accepted.  The one breadth-first search roots every
+component at its smallest vertex and rejects a graph with a cycle.
+Components never interact, so one children-first sweep over all of
+them solves each independently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
@@ -42,6 +58,8 @@ from typing import Iterable, Sequence
 from .graphs import (
     Graph,
     _check_count,
+    _check_thresholds,
+    _forest_search,
     _vertex_set,
     connected_components,  # unused here; perfbench/tracing.py rebinds it by this name
     is_forest,  # unused here; perfbench/tracing.py rebinds it by this name
@@ -94,6 +112,84 @@ class TreeSolveResult:
     required: frozenset[int]  # targets plus every vertex delegated to
 
 
+# children slices up to this long are sorted, which beats the selection
+# at every length; longer ones keep a vertex's cost O(#children)
+_SORTED_UP_TO = 64
+
+
+def _solve_positions(
+    tree: Graph,
+    thresholds: Sequence[int],
+    latency: int,
+    targets: Iterable[int],
+) -> tuple[list[int], list[int], frozenset[int], list[int], list[int], list[int]]:
+    """The solve, on breadth-first positions.
+
+    Returns ``(order, seeds, targets, time, path, max_path)``: the vertex
+    at each position, the seeded vertices, the checked target set, and
+    the per-vertex state indexed by position.
+    """
+    n = tree.n
+    _, order, _, ends = _forest_search(tree)
+    _check_count(latency, "latency")
+    target_set = _vertex_set(n, targets, "target")
+    _check_thresholds(n, thresholds)
+    is_target = bytearray(n)
+    for v in target_set:
+        is_target[v] = 1
+
+    inf = latency + 1
+    time = [inf] * n
+    path = [-1] * n
+    max_path = [0] * n
+    seeds: list[int] = []
+
+    for p in range(n - 1, -1, -1):
+        v = order[p]
+        t = thresholds[v]
+        a = ends[p - 1] if p else 0
+        b = ends[p]
+        root = a == p  # nothing scanned before a root reached it
+        if root:
+            a += 1
+        mp = act = 0
+        if b - a == 1:  # one child, as on a path: no list to build
+            x = time[a]
+            mp = 1 + path[a]
+            if x < latency - mp:
+                act = 1
+            if t == 1:
+                time[p] = x + 1 if x < inf else inf
+        elif a < b:
+            times = time[a:b]
+            mp = 1 + max(path[a:b])
+            cut = latency - mp
+            if b - a <= _SORTED_UP_TO:
+                times.sort()
+                act = bisect_left(times, cut)
+                if 0 < t <= b - a:
+                    time[p] = min(inf, 1 + times[t - 1])
+            else:
+                act = len([x for x in times if x < cut])
+                if 0 < t <= b - a:
+                    time[p] = min(inf, 1 + select_tth_smallest(times, t))
+        max_path[p] = mp
+        if t == 0:
+            time[p] = 1
+
+        # required: a target, or a child delegated to v (mp >= 1)
+        if not (is_target[v] or mp):
+            continue
+        # act >= 0, so both act tests below imply t >= 1
+        if mp == latency or act <= t - 2 or (act == t - 1 and root):
+            seeds.append(v)
+            time[p] = 0
+        elif act == t - 1:  # parent must finish the job
+            path[p] = mp
+
+    return order, seeds, target_set, time, path, max_path
+
+
 def solve_detailed(
     tree: Graph,
     thresholds: Sequence[int],
@@ -105,53 +201,19 @@ def solve_detailed(
     Accepts forests: components are solved independently, each rooted
     at its smallest vertex.  Raises ValueError on a graph with a cycle.
     """
-    n = tree.n
-    parent, order, _ = root_forest(tree)
-    _check_count(latency, "latency")
-    required = set(_vertex_set(n, targets, "target"))
-    thr = normalize_thresholds(tree, thresholds)
-
-    inf = latency + 1
-    time = [inf] * n
-    path = [-1] * n
-    max_path = [0] * n
-    seeds: set[int] = set()
-
-    adjacency = tree.adjacency
-    for v in order:
-        up = parent[v]
-        kids = list(adjacency[v])
-        if up is not None:
-            kids.remove(up)
-        t = thr[v]
-        mp = act = 0
-        if kids:
-            times = [time[u] for u in kids]
-            mp = 1 + max([path[u] for u in kids])
-            cut = latency - mp
-            act = len([x for x in times if x < cut])
-            max_path[v] = mp
-        if t == 0:
-            time[v] = 1
-        elif t <= len(kids):  # so kids, and with them times, are set
-            time[v] = min(inf, 1 + select_tth_smallest(times, t))
-
-        if v not in required:
-            continue
-        # act >= 0, so both act tests below imply t >= 1
-        if mp == latency or act <= t - 2 or (act == t - 1 and up is None):
-            seeds.add(v)
-            time[v] = 0
-        elif act == t - 1:  # parent must finish the job
-            required.add(up)
-            path[v] = mp
-
+    order, seeds, target_set, *state = _solve_positions(
+        tree, thresholds, latency, targets
+    )
+    position = [0] * tree.n
+    for p, v in enumerate(order):
+        position[v] = p
+    time, path, max_path = [tuple([values[p] for p in position]) for values in state]
     return TreeSolveResult(
         frozenset(seeds),
-        tuple(time),
-        tuple(path),
-        tuple(max_path),
-        frozenset(required),
+        time,
+        path,
+        max_path,
+        target_set.union([v for v, mp in enumerate(max_path) if mp]),
     )
 
 
@@ -161,7 +223,8 @@ def solve(
     latency: int,
     targets: Iterable[int],
 ) -> frozenset[int]:
-    return solve_detailed(tree, thresholds, latency, targets).seeds
+    """The seeds of :func:`solve_detailed`, without its per-vertex tuples."""
+    return frozenset(_solve_positions(tree, thresholds, latency, targets)[1])
 
 
 @dataclass(frozen=True)

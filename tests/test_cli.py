@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,26 @@ class TestSimulateCommand:
         code = main(["simulate", "--instance", path, "--seed", "9"])
         capsys.readouterr()
         assert code == 2
+
+    def test_memory_stays_near_the_output(self, tmp_path):
+        # one list per round, each merged from the last; a set per round
+        # besides them took about 17 times the output
+        n = 1000
+        doc = {"n": n, "edges": [[v, v + 1] for v in range(n - 1)],
+               "thresholds": [1] * n, "lambda": n, "targets": []}
+        path, out = write(tmp_path, doc), tmp_path / "rounds.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(
+                ["simulate", "--instance", path, "--seed", "0", "--output", str(out)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out.read_text())["round_sizes"][-1] == n
+        assert peak - before <= 8 * out.stat().st_size
 
 
 class TestSolveCommand:
@@ -790,6 +811,12 @@ class TestForestFuzz:
             assert len(result["round_sizes"]) == min(lam, n) + 1
             sizes.append(result.get("size"))
         assert sizes[0] == sizes[1]
+        # the printed rounds are the library's, padded the same way
+        trace = simulate(
+            forest, doc["thresholds"], json.loads(f"[{seed}]"), min(lam, n)
+        )
+        assert result["rounds"] == [sorted(s) for s in trace.rounds]
+        assert result["round_sizes"] == [len(r) for r in result["rounds"]]
 
 
     @settings(max_examples=150, deadline=None)

@@ -300,6 +300,24 @@ class TestValidate:
         with pytest.raises(KExprError):
             check(expr)
 
+    @pytest.mark.parametrize("bad", [3, None, "u"], ids=["int", "None", "str"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: Union(Leaf(1, "a"), bad),
+            lambda bad: Union(bad, Leaf(1, "a")),
+            lambda bad: Eta(1, 2, bad),
+            lambda bad: Rho(1, 2, bad),
+        ],
+        ids=["union-right", "union-left", "eta", "rho"],
+    )
+    def test_non_node_children_are_refused(self, build, bad):
+        # every entry that walks the tree in post-order, equality and hashing too
+        expr = build(bad)
+        for call in (validate, width, leaf_names, hash, lambda e: e == build(bad)):
+            with pytest.raises(KExprError, match="not an expression node"):
+                call(expr)
+
 
 class TestRefusals:
     @pytest.mark.parametrize(

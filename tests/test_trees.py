@@ -1,6 +1,8 @@
 """Tree solver: examples, optimality sweeps, state audit, selection helper."""
 
 import random
+import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,19 @@ def _standard_corpus(count, seed, n_hi=10):
         yield tree, thresholds, latency, targets
 
 
+def _extended_corpus(count, seed):
+    """Forests with isolated vertices, thresholds up to degree + 1, latency 0 to n + 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        forest = Graph(
+            n, [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.7]
+        )
+        thr = tuple(rng.randint(0, forest.degree(v) + 1) for v in range(n))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.5)
+        yield forest, thr, rng.randint(0, n + 1), targets
+
+
 class TestOptimality:
     def test_matches_brute_force_on_random_trees(self):
         for tree, thr, lam, targets in _standard_corpus(150, seed=7):
@@ -139,15 +154,18 @@ class TestOptimality:
     def test_extended_thresholds_match_brute_force(self):
         # forests with isolated vertices and latency 0 run through the same
         # seeding rule as every other vertex
-        rng = random.Random(17)
-        for _ in range(150):
-            n = rng.randint(1, 9)
-            forest = Graph(
-                n, [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.7]
-            )
-            thr = tuple(rng.randint(0, forest.degree(v) + 1) for v in range(n))
-            targets = frozenset(v for v in range(n) if rng.random() < 0.5)
-            lam = rng.randint(0, n + 1)
+        for forest, thr, lam, targets in _extended_corpus(150, seed=17):
+            chosen = solve(forest, thr, lam, targets)
+            best = brute_min_target(forest, thr, lam, targets)
+            assert targets <= simulate(forest, thr, chosen, lam).final
+            assert len(chosen) == len(best)
+
+    def test_selection_matches_brute_force(self, monkeypatch):
+        # a vertex sorts a short children slice and selects on a long one;
+        # at 1, every vertex with two or more children selects
+        monkeypatch.setattr("latss.trees._SORTED_UP_TO", 1)
+        corpus = chain(_standard_corpus(150, seed=67), _extended_corpus(150, seed=77))
+        for forest, thr, lam, targets in corpus:
             chosen = solve(forest, thr, lam, targets)
             best = brute_min_target(forest, thr, lam, targets)
             assert targets <= simulate(forest, thr, chosen, lam).final
@@ -213,3 +231,37 @@ class TestLinearScaling:
         n = 3000
         chosen = solve(path_graph(n), (1,) * n, n, set(range(n)))
         assert len(chosen) == 1
+
+    def test_wide_vertex_scales_linearly(self):
+        # a broom: centre 0 holds about n/2 legs of one or two vertices, so
+        # it selects its mid-range threshold among child times 1, 2 and never;
+        # at latency 3 its threshold-1 leaves need it seeded
+        def broom(n):
+            rng = random.Random(n)
+            edges, thresholds = [], [0]
+            while len(thresholds) < n:
+                leg = len(thresholds)
+                edges.append((0, leg))
+                if rng.random() < 0.5 or leg + 1 == n:
+                    thresholds.append(rng.randint(0, 1))
+                else:
+                    edges.append((leg, leg + 1))
+                    thresholds += [1, 0]
+            thresholds[0] = sum(1 for u, _ in edges if u == 0) // 2
+            return Graph(n, edges), thresholds, range(n)
+
+        # the sizes take turns, so a drift in the machine's speed reaches both
+        sizes = (100_000, 200_000)
+        instances = {n: broom(n) for n in sizes}
+        times = dict.fromkeys(sizes, float("inf"))
+        for _ in range(3):
+            for n in sizes:
+                graph, thresholds, targets = instances[n]
+                start = time.perf_counter()
+                chosen = solve(graph, thresholds, 3, targets)
+                times[n] = min(times[n], time.perf_counter() - start)
+                assert chosen == {0}
+        for graph, thresholds, targets in instances.values():
+            assert simulate(graph, thresholds, {0}, 3).final == frozenset(targets)
+        ratio = times[200_000] / times[100_000]
+        assert ratio <= 3.0, f"doubling the broom scaled wall time by {ratio:.2f}"
