@@ -260,7 +260,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 raise InstanceError(
                     "cwd method needs a kexpr in the instance (graph has a cycle)"
                 ) from exc
-            order = [int(name) for name in kexpr.leaf_names(expression)]
+            labeled = kexpr.evaluate(expression)
+            order = [int(name) for name in labeled.names]
         else:
             # document_to_instance matched the expression id-for-id
             order = range(graph.n)

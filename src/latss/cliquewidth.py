@@ -55,10 +55,10 @@ no count to try, and a chain that answers at the floor does so before
 the solver builds its node tables, memo and caches, which it does on
 the DP's first use; ``query`` and ``reconstruct`` build them too.  On
 dense graphs at a large latency one seed often suffices, and the search
-never runs.  The constructor walks the expression once for the width
-and well-formedness verdict, and once more to evaluate it unless the
-caller passes the evaluation it already made; renumbered labels are
-mapped onto that evaluation.
+never runs.  The constructor walks the expression once, in the checked
+pass that gives the width, the well-formedness verdict and the node
+order, and evaluates from that pass's node list unless the caller passes
+the evaluation it made; renumbered labels are mapped onto it.
 
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
@@ -107,6 +107,7 @@ from .kexpr import (
     Leaf,
     Union,
     _checked_postorder,
+    _labeled_graph,
     check_irredundant,  # unused here; perfbench/tracing.py rebinds it by this name
     evaluate,
     lift_targets,  # unused here; perfbench/tracing.py rebinds it by this name
@@ -492,14 +493,13 @@ class CliqueWidthSolver:
         *,
         _labeled: LabeledGraph | None = None,
     ) -> None:
-        # the checked pass and evaluate's walk, which also finds redundant
-        # insertions, are the constructor's only traversals; a caller that
-        # has evaluate(expr) already passes it as _labeled, which stands in
-        # for the walk
+        # the checked pass is the only traversal: the evaluation, which also
+        # finds redundant insertions, reads its node list, unless a caller
+        # that has evaluate(expr) already passes it as _labeled
         post, width = _checked_postorder(expr)
-        post, self.k, rank = _dense_labels(post, width)
         if _labeled is None:
-            _labeled = evaluate(expr)
+            _labeled = _labeled_graph(post)
+        post, self.k, rank = _dense_labels(post, width)
         if rank is not None:
             _labeled = replace(_labeled, labels=tuple(rank[l] for l in _labeled.labels))
         self.labeled = _labeled

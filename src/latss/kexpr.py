@@ -30,15 +30,14 @@ The parser first finds any unexpected character with one regex search,
 and reports it ahead of every other error.  It then lists the tokens as
 plain strings a window of text at a time, not one by one as it needs
 them, checks each construct once, token by token in reading order, and
-works out a line and column only when it raises.  :func:`evaluate`
-builds its graph without re-checking the edges its own walk produced.
-One walk keeps the label classes and the path from the root and serves
-:func:`evaluate`, :func:`check_irredundant` and :func:`normalize_irredundant`,
-near-linear in the expression size plus the edges it produces; the last
-rebuilds through :func:`fold` only when it drops an insertion.
-:func:`validate` and :func:`width` share one checked post-order pass;
-the clique-width solver builds its node table from that pass's node
-list, so it walks an expression only there and in :func:`evaluate`.
+works out a line and column only when it raises.  One checked
+post-order pass holds every well-formedness check; :func:`evaluate`,
+:func:`check_irredundant` and :func:`normalize_irredundant` are one loop
+over its node list, near-linear in the expression size plus the edges
+produced, and refuse a malformed tree as :func:`validate` does.  A root
+path is read off the list only for an insertion that violates.  The
+clique-width solver builds its node table and its evaluation from that
+list too, so it walks an expression once.
 """
 
 from __future__ import annotations
@@ -381,28 +380,42 @@ def unparse(expr: KExpr) -> str:
     return _unparse(expr, False)
 
 
+class _Text(str):
+    """Closing text on :func:`_unparse`'s stack, told apart from a str child."""
+
+
+_CLOSE, _COMMA = _Text(")"), _Text(", ")
+
+
 def _unparse(expr: KExpr, numbered: bool) -> str:
     """The text of ``expr``; if ``numbered``, the i-th leaf printed is named ``i``.
 
     Leaves print in evaluated vertex order, so the numbered text is
     ``unparse(canonicalize_names(expr))``, made without building a tree.
+    Raises :class:`KExprError` on anything that is not a node.
     """
     pieces: list[str] = []
-    stack: list[KExpr | str] = [expr]
+    stack: list = [expr]
     leaves = 0
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        cls = type(item)
+        if cls is _Text:
             pieces.append(item)
-        elif isinstance(item, Leaf):
+        elif cls is Leaf:
             pieces.append(f"{item.label}({leaves if numbered else item.name})")
             leaves += 1
-        elif isinstance(item, Union):
-            stack.extend([")", item.right, ", ", item.left, "U("])
-        elif isinstance(item, Eta):
-            stack.extend([")", item.child, f"eta({item.a},{item.b}, "])
+        elif cls is Union:
+            pieces.append("U(")
+            stack += (_CLOSE, item.right, _COMMA, item.left)
+        elif cls is Eta:
+            pieces.append(f"eta({item.a},{item.b}, ")
+            stack += (_CLOSE, item.child)
+        elif cls is Rho:
+            pieces.append(f"rho({item.a}->{item.b}, ")
+            stack += (_CLOSE, item.child)
         else:
-            stack.extend([")", item.child, f"rho({item.a}->{item.b}, "])
+            raise KExprError(f"{item!r} is not an expression node")
     return "".join(pieces)
 
 
@@ -439,8 +452,13 @@ def fold(
     rho: Callable[[Rho, object], object],
 ) -> object:
     """Iterative bottom-up fold over the expression tree."""
+    return _fold(_postorder(expr), leaf, union, eta, rho)
+
+
+def _fold(post, leaf, union, eta, rho):
+    """:func:`fold` over a post-order node list."""
     vals: list[object] = []
-    for node in _postorder(expr):
+    for node in post:
         if isinstance(node, Leaf):
             vals.append(leaf(node))
         elif isinstance(node, Union):
@@ -464,7 +482,8 @@ def _checked_postorder(expr: KExpr) -> tuple[list[KExpr], int]:
     # raised by comparisons: a max() call per node costs about as much as the walk
     w = 0
     for node in post:
-        if isinstance(node, Leaf):
+        cls = type(node)
+        if cls is Leaf:
             label, name = node.label, node.name
             if type(name) is not str:
                 raise KExprError(f"vertex name {name!r} is not a str")
@@ -479,14 +498,14 @@ def _checked_postorder(expr: KExpr) -> tuple[list[KExpr], int]:
             names.add(name)
             if label > w:
                 w = label
-        elif not isinstance(node, Union):
+        elif cls is not Union:
             a, b = node.a, node.b
             if type(a) is not int or type(b) is not int:
                 raise KExprError(f"labels {a!r} and {b!r} are not both ints")
             if a < 1 or b < 1:
                 raise KExprError("labels start at 1")
             if a == b:
-                op = "eta" if isinstance(node, Eta) else "rho"
+                op = "eta" if cls is Eta else "rho"
                 raise KExprError(f"{op} needs two distinct labels, got {a} twice")
             if a > w:
                 w = a
@@ -535,109 +554,120 @@ class LabeledGraph:
     violations: tuple[IrredundancyViolation, ...] = ()
 
 
-def _evaluate(expr: KExpr):
-    """One post-order walk: leaf names, edge set, root label classes, verdicts.
+def _evaluate(post: list[KExpr]):
+    """Leaf names, edge set, root label classes and verdicts of a checked node list.
 
     Keeps the label classes of the subgraph built so far: each label maps
-    to its vertex ids, which count leaves in walk order; unions and
-    renames merge the smaller class into the larger, so the walk is
+    to its vertex ids, which count leaves in list order; unions and
+    renames merge the smaller class into the larger, so the loop is
     near-linear in the expression size plus the edges it produces.
-    ``sides`` is the child index taken at each ancestor of the node, so
-    ``tuple(sides)`` is the node's path from the root.
-
-    Besides the violations it returns ``idle``, the post-order ranks
-    among the etas of those that add no edge, and ``partial``, the
-    ``(path, a, b)`` of the first eta that adds some edges while
-    re-covering others, or ``None``.
+    Besides the violations it returns ``idle``, the ids of the etas that
+    add no edge (a checked tree holds each node once, since every node
+    has a leaf below it), and ``partial``, the ``(path, a, b)`` of the
+    first eta that adds some edges while re-covering others, or None.
     """
     names: list[str] = []
     edges: set[tuple[int, int]] = set()
-    violations: list[IrredundancyViolation] = []
+    found: list[tuple] = []  # (index, a, b, offending pair, added) of violating etas
     idle: set[int] = set()
-    partial = None
     vals: list[dict[int, list[int]]] = []  # classes of the finished subtrees
-    above: list[KExpr] = []  # the node's ancestors, root first
-    sides: list[int] = []
-    etas = 0
-    node = expr
-    while True:
-        while not isinstance(node, Leaf):
-            above.append(node)
-            sides.append(0)
-            node = node.left if isinstance(node, Union) else node.child
-        vals.append({node.label: [len(names)]})
-        names.append(node.name)
-        while above:
-            node = above[-1]
-            if isinstance(node, Union) and not sides[-1]:
-                # the left operand is done: walk the right one next
-                sides[-1] = 1
-                node = node.right
-                break
-            above.pop()
-            sides.pop()
-            if isinstance(node, Union):
-                right = vals.pop()
-                left = vals[-1]
-                if len(left) < len(right):
-                    left, right = right, left
-                    vals[-1] = left
-                for lab, ids in right.items():
-                    if lab in left:
-                        left[lab].extend(ids)
+    for i, node in enumerate(post):
+        cls = type(node)
+        if cls is Leaf:
+            vals.append({node.label: [len(names)]})
+            names.append(node.name)
+        elif cls is Union:
+            right = vals.pop()
+            left = vals[-1]
+            if len(left) < len(right):
+                left, right = right, left
+                vals[-1] = left
+            for lab, ids in right.items():
+                if lab in left:
+                    left[lab].extend(ids)
+                else:
+                    left[lab] = ids
+        elif cls is Rho:
+            top = vals[-1]
+            if node.a in top:
+                ids = top.pop(node.a)
+                if node.b in top:
+                    top[node.b].extend(ids)
+                else:
+                    top[node.b] = ids
+        else:
+            a, b = node.a, node.b
+            top = vals[-1]
+            before = len(edges)
+            offending: tuple[str, str] | None = None
+            for u in top.get(a, ()):
+                for v in top.get(b, ()):
+                    key = (u, v) if u < v else (v, u)
+                    if key in edges:
+                        if offending is None:
+                            offending = (names[u], names[v])
                     else:
-                        left[lab] = ids
-            elif isinstance(node, Rho):
-                top = vals[-1]
-                if node.a in top:
-                    ids = top.pop(node.a)
-                    if node.b in top:
-                        top[node.b].extend(ids)
-                    else:
-                        top[node.b] = ids
-            else:
-                a, b = node.a, node.b
-                if a == b:
-                    raise KExprError(f"eta needs two distinct labels, got {a} twice")
-                top = vals[-1]
-                before = len(edges)
-                offending: tuple[str, str] | None = None
-                for u in top.get(a, ()):
-                    for v in top.get(b, ()):
-                        key = (u, v) if u < v else (v, u)
-                        if key in edges:
-                            if offending is None:
-                                offending = (names[u], names[v])
-                        else:
-                            edges.add(key)
-                added = len(edges) != before
-                if not added:
-                    idle.add(etas)
-                etas += 1
-                if offending is not None:
-                    path = tuple(sides)
-                    violations.append(IrredundancyViolation(path, a, b, offending))
-                    if added and partial is None:
-                        partial = (path, a, b)
-        else:  # the root is done
-            return names, edges, vals[0], violations, idle, partial
+                        edges.add(key)
+            added = len(edges) != before
+            if not added:
+                idle.add(id(node))
+            if offending is not None:
+                found.append((i, a, b, offending, added))
+    violations, partial = _violations(post, found)
+    return names, edges, vals[0], violations, idle, partial
+
+
+def _violations(post: list[KExpr], found: list[tuple]):
+    """The violations and the partial insertion of :func:`_evaluate`'s records.
+
+    A second loop over the list, made only when some eta violates, notes
+    each node's parent, so no path is built for any other node.
+    """
+    violations: list[IrredundancyViolation] = []
+    partial = None
+    if not found:
+        return violations, partial
+    up: list = [None] * len(post)  # (parent index, child side); None at the root
+    pending: list[int] = []  # finished subtrees still waiting for their parent
+    for i, node in enumerate(post):
+        cls = type(node)
+        if cls is Union:
+            up[pending.pop()] = (i, 1)
+        if cls is not Leaf:
+            up[pending.pop()] = (i, 0)
+        pending.append(i)
+    for i, a, b, edge, added in found:
+        sides = []
+        while up[i] is not None:
+            i, side = up[i]
+            sides.append(side)
+        path = tuple(reversed(sides))
+        violations.append(IrredundancyViolation(path, a, b, edge))
+        if added and partial is None:
+            partial = path, a, b
+    return violations, partial
+
+
+def _labeled_graph(post: list[KExpr]) -> LabeledGraph:
+    """:func:`evaluate` of a checked post-order node list."""
+    names, edges, classes, violations, _, _ = _evaluate(post)
+    labels = [0] * len(names)
+    for lab, ids in classes.items():
+        for v in ids:
+            labels[v] = lab
+    # the loop's pairs are normalized, in range and loop-free: no re-check
+    graph = Graph._from_normalized(len(names), edges)
+    return LabeledGraph(graph, tuple(labels), tuple(names), tuple(violations))
 
 
 def evaluate(expr: KExpr) -> LabeledGraph:
     """Build the labeled graph an expression denotes, noting redundant insertions.
 
-    Assumes a well-formed tree (see :func:`validate`).  Runs in one walk,
-    near-linear in the expression size plus the number of produced
+    Raises as :func:`validate` does.  Reads the checked pass's node list
+    once, near-linear in the expression size plus the number of produced
     edges.
     """
-    names, edges, classes, violations, _, _ = _evaluate(expr)
-    labels = [0] * len(names)
-    for lab, ids in classes.items():
-        for v in ids:
-            labels[v] = lab
-    # the walk's pairs are normalized, in range and loop-free: no re-check
-    graph = Graph._from_normalized(len(names), edges)
-    return LabeledGraph(graph, tuple(labels), tuple(names), tuple(violations))
+    return _labeled_graph(_checked_postorder(expr)[0])
 
 
 def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
@@ -647,10 +677,10 @@ def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
     edge between an a-labeled and a b-labeled vertex — exactly the
     precondition the clique-width solver needs.  Each violation's
     ``path`` is built only when its eta violates, so the check is linear
-    in the expression size plus the number of edges.  Like
-    :func:`evaluate`, assumes a well-formed tree (see :func:`validate`).
+    in the expression size plus the number of edges.  Raises as
+    :func:`validate` does.
     """
-    return _evaluate(expr)[3]
+    return _evaluate(_checked_postorder(expr)[0])[3]
 
 
 def normalize_irredundant(expr: KExpr) -> KExpr:
@@ -659,28 +689,20 @@ def normalize_irredundant(expr: KExpr) -> KExpr:
     Raises :class:`PartialRedundancyError` when an insertion would add
     some new edges while re-covering existing ones; such expressions
     must be rewritten by the caller.  Returns ``expr`` itself when no
-    insertion is dropped; otherwise rebuilds only the changed spine.
-    Like :func:`evaluate`, assumes a well-formed tree (see :func:`validate`).
+    insertion is dropped; otherwise rebuilds only the changed spine, from
+    the same node list.  Raises as :func:`validate` does.
     """
-    *_, idle, partial = _evaluate(expr)
+    post = _checked_postorder(expr)[0]
+    *_, idle, partial = _evaluate(post)
     if partial is not None:
         raise PartialRedundancyError(*partial)
     if not idle:
         return expr
-    etas = -1  # fold visits the etas in the walk's post-order
-
-    def on_eta(node, child):
-        nonlocal etas
-        etas += 1
-        if etas in idle:
-            return child
-        return node if child is node.child else Eta(node.a, node.b, child)
-
-    return fold(
-        expr,
+    return _fold(
+        post,
         lambda n: n,
         lambda n, l, r: n if l is n.left and r is n.right else Union(l, r),
-        on_eta,
+        lambda n, c: c if id(n) in idle else n if c is n.child else Eta(n.a, n.b, c),
         lambda n, c: n if c is n.child else Rho(n.a, n.b, c),
     )
 
@@ -700,7 +722,7 @@ def lift_targets(expr: KExpr, target_names: Iterable[str]) -> KExpr:
     vertices carrying labels > k.
     """
     wanted = set(target_names)
-    k = width(expr)
+    post, k = _checked_postorder(expr)
     seen: set[str] = set()
 
     def on_leaf(node):
@@ -719,7 +741,7 @@ def lift_targets(expr: KExpr, target_names: Iterable[str]) -> KExpr:
     def on_rho(node, child):
         return Rho(node.a, node.b, Rho(node.a + k, node.b + k, child))
 
-    lifted = fold(expr, on_leaf, lambda _n, l, r: Union(l, r), on_eta, on_rho)
+    lifted = _fold(post, on_leaf, lambda _n, l, r: Union(l, r), on_eta, on_rho)
     missing = wanted - seen
     if missing:
         raise KExprError(f"unknown target vertex name(s): {sorted(missing)}")

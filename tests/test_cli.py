@@ -297,6 +297,25 @@ class TestSolveCommand:
         code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
         assert code == 0 and out["size"] == 2 and 2 in out["target_set"]
 
+    def test_cwd_forest_fallback_evaluates_once(self, capsys, tmp_path, monkeypatch):
+        # the built expression is evaluated once, for the vertex order, and
+        # the solver takes that evaluation rather than making its own
+        calls = []
+        for module, name in ((kexpr, "evaluate"), (cliquewidth, "_labeled_graph")):
+            original = getattr(module, name)
+
+            def counted(expr, original=original, name=name):
+                calls.append(name)
+                return original(expr)
+
+            monkeypatch.setattr(module, name, counted)
+        doc = {"n": 3, "edges": [[0, 2], [2, 1]], "thresholds": [1, 3, 1],
+               "lambda": 1, "budget": 1, "targets": [0, 2]}
+        path = write(tmp_path, doc)
+        code, out = run(capsys, ["solve", "--method", "cwd", "--instance", path])
+        assert code == 0 and out["size"] == 1
+        assert calls == ["evaluate"]
+
     @pytest.mark.parametrize(
         "fields",
         [{"budget": 3, "alpha": 5}, {"budget": 2, "targets": [1, 5]},

@@ -224,24 +224,28 @@ class TestEtaQueries:
             solver_for("eta(2,1, eta(2,1, U(2(v), 1(u))))", (1, 1), 1)
 
     def test_constructor_walks_the_expression_once(self, monkeypatch):
-        # evaluation and the irredundancy verdict come from one walk, made
-        # through a name a tracer can rebind in this module
-        from latss import cliquewidth
+        # the irredundancy verdict comes from the evaluation that reads the
+        # checked pass's node list: no name a tracer can rebind is called
+        from latss import cliquewidth, kexpr
 
         calls = []
-        for name in ("evaluate", "check_irredundant"):
-            original = getattr(cliquewidth, name)
+        for module, name in (
+            (kexpr, "_postorder"),
+            (cliquewidth, "evaluate"),
+            (cliquewidth, "check_irredundant"),
+        ):
+            original = getattr(module, name)
 
             def counted(expr, original=original, name=name):
                 calls.append(name)
                 return original(expr)
 
-            monkeypatch.setattr(cliquewidth, name, counted)
+            monkeypatch.setattr(module, name, counted)
         solver_for("eta(2,1, U(2(v), 1(u)))", (1, 1), 1)
-        assert calls == ["evaluate"]
+        assert calls == ["_postorder"]
         with pytest.raises(IrredundancyError) as err:
             solver_for("eta(2,1, eta(2,1, U(2(v), 1(u))))", (1, 1), 1)
-        assert calls == ["evaluate"] * 2
+        assert calls == ["_postorder"] * 2
         assert [v.path for v in err.value.violations] == [()]
 
     @pytest.mark.parametrize("label", [2, 5])
@@ -262,9 +266,12 @@ class TestEtaQueries:
 
     def test_constructor_makes_one_post_order_traversal(self, monkeypatch):
         # the checked pass gives the width, the well-formedness verdict and
-        # the node table's order; evaluate's walk gives everything else
+        # the node table's order; the evaluation reads its node list, or
+        # the caller hands it in: one walk either way
         from latss import cliquewidth, kexpr
 
+        expr = path_expression(40)
+        evaluated = evaluate(expr)
         calls = []
         for module, name in ((kexpr, "_postorder"), (cliquewidth, "evaluate")):
             original = getattr(module, name)
@@ -274,8 +281,11 @@ class TestEtaQueries:
                 return original(expr)
 
             monkeypatch.setattr(module, name, counted)
-        solver = CliqueWidthSolver(path_expression(40), (1,) * 40, 2)
-        assert sorted(calls) == ["_postorder", "evaluate"]
+        for labeled in (None, evaluated):
+            calls.clear()
+            solver = CliqueWidthSolver(expr, (1,) * 40, 2, _labeled=labeled)
+            assert calls == ["_postorder"]
+            assert solver.labeled == evaluated
         # 40 leaves, 39 unions, 39 etas and two renames per vertex from the fourth
         assert solver.k == 3 and solver.node_count == 40 + 39 + 39 + 2 * 37
 

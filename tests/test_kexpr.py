@@ -312,9 +312,10 @@ class TestValidate:
         ids=["union-right", "union-left", "eta", "rho"],
     )
     def test_non_node_children_are_refused(self, build, bad):
-        # every entry that walks the tree in post-order, equality and hashing too
+        # every entry that walks the tree, equality and hashing too
         expr = build(bad)
-        for call in (validate, width, leaf_names, hash, lambda e: e == build(bad)):
+        for call in (validate, width, leaf_names, hash, lambda e: e == build(bad),
+                     unparse, evaluate, check_irredundant, normalize_irredundant):
             with pytest.raises(KExprError, match="not an expression node"):
                 call(expr)
 
@@ -331,9 +332,14 @@ class TestRefusals:
             (lambda: star_expression(0), ValueError, "at least one vertex"),
             (lambda: cograph_expression(0, random.Random(1)), ValueError,
              "at least one vertex"),
+            (lambda: evaluate(Leaf(1.5, "a")), KExprError, "not an int"),
+            (lambda: check_irredundant(Union(Leaf(1, "a"), Leaf(2, "a"))),
+             KExprError, "duplicate vertex name"),
+            (lambda: normalize_irredundant(Leaf(0, "a")), KExprError, "label 0 < 1"),
         ],
         ids=["leaf-name", "eta-label-0", "path-0", "path-names", "star-0",
-             "cograph-0"],
+             "cograph-0", "evaluate-float-label", "check-duplicate-names",
+             "normalize-label-0"],
     )
     def test_raises(self, call, error, message):
         with pytest.raises(error, match=message):
@@ -430,6 +436,54 @@ class TestCheckIrredundant:
         # linear is about 4x, quadratic about 16x
         ratio = times[2000] / times[500]
         assert ratio < 8, f"4x the path scaled the check by {ratio:.1f}"
+
+
+def _repeated_etas(rng, leaves):
+    """A random width-3 tree whose insertions are often applied twice."""
+    items = [Leaf(rng.randint(1, 3), str(i)) for i in range(leaves)]
+    while len(items) > 1:
+        merged = Union(items.pop(rng.randrange(len(items))), items.pop())
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample((1, 2, 3), 2)
+            merged = rng.choice((Eta, Eta, Rho))(a, b, merged)
+            if type(merged) is Eta and rng.random() < 0.4:
+                merged = Eta(b, a, merged)
+        items.append(merged)
+    return items[0]
+
+
+def _follow(expr, path):
+    for side in path:
+        expr = expr.right if side else expr.left if type(expr) is Union else expr.child
+    return expr
+
+
+class TestRepeatedInsertions:
+    def test_paths_and_normal_forms(self):
+        seen = {"violating": 0, "normalized": 0, "partial": 0}
+        rng = random.Random(2027)
+        for _ in range(400):
+            expr = _repeated_etas(rng, rng.randint(1, 8))
+            violations = check_irredundant(expr)
+            for v in violations:
+                # each path leads from the root to an eta with its labels
+                reached = _follow(expr, v.path)
+                assert type(reached) is Eta and (reached.a, reached.b) == (v.a, v.b)
+            seen["violating"] += bool(violations)
+            try:
+                cleaned = normalize_irredundant(expr)
+            except PartialRedundancyError as err:
+                reached = _follow(expr, err.path)
+                assert type(reached) is Eta and (reached.a, reached.b) == (err.a, err.b)
+                seen["partial"] += 1
+                continue
+            assert check_irredundant(cleaned) == []
+            before, after = evaluate(expr), evaluate(cleaned)
+            assert (after.graph, after.labels, after.names) == (
+                before.graph, before.labels, before.names
+            )
+            seen["normalized"] += cleaned is not expr
+        assert min(seen.values()) >= 20, seen
 
 
 class TestNormalizeIrredundant:
