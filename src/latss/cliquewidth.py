@@ -47,15 +47,16 @@ optimum: one scan at budget n answers the minimisation.  At each s the
 greedy seed chain's first s seeds are the answer if, by its tally, they
 meet the requirement and every target; the memo is left alone, since it
 holds only what the DP proved.  Otherwise the root count matrices of
-seed count s are searched in lexicographic order, and the first
-satisfiable one's witness gives the seeds.  The floor and the chain
-(see ``_Bounds``) read only the graph, the thresholds, the latency and
-the targets, never the expression.  So a floor above the budget leaves
-no count to try, and a chain that answers at the floor does so before
-the solver builds its node tables, memo and caches, which it does on
-the DP's first use; ``query`` and ``reconstruct`` build them too.  On
-dense graphs at a large latency one seed often suffices, and the search
-never runs.  The constructor walks the expression once, in the checked
+seed count s are searched in lexicographic order, each row a ``product``
+of per-class ranges, the seed row's filtered to sum s, and the first
+satisfiable one's witness gives the seeds.  The floor and the chain (see
+``_Bounds``) read only the graph, the thresholds, the latency and the
+targets, never the expression.  So a floor above the budget leaves no
+count to try, and a chain that answers at the floor does so before the
+solver builds its node tables, memo and caches, which it does on the
+DP's first use; ``query`` and ``reconstruct`` build them too.  On dense
+graphs at a large latency one seed often suffices, and the search never
+runs.  The constructor walks the expression once, in the checked
 pass that gives the width, the well-formedness verdict and the node
 order, and evaluates from that pass's node list unless the caller passes
 the evaluation it made; renumbered labels are mapped onto it.
@@ -226,37 +227,6 @@ def _gained(grid: Grid, gain: int) -> Grid:
         row = grid[a - s]
         rows.append(row[s:] + row[-1:] * min(s, width))
     return tuple(rows)
-
-
-def _rows_by_sum(lo, hi, total: int) -> Iterator[tuple[int, ...]]:
-    """Rows with lo <= row <= hi summing to ``total``, in lexicographic order.
-
-    Each row steps to the next: the rightmost entry that can grow while
-    the entries after it can still shrink grows by one, and those entries
-    are refilled with the least values that complete the sum.  Rows come
-    lazily, at O(k) each, with no recursion.
-    """
-    k = len(lo)
-    # least and greatest sums of the entries from index i on
-    lo_from = [*accumulate(reversed(lo), initial=0)][::-1]
-    hi_from = [*accumulate(reversed(hi), initial=0)][::-1]
-    if not lo_from[0] <= total <= hi_from[0]:
-        return
-    row = list(lo)
-    i, rest = -1, total
-    while True:
-        for j in range(i + 1, k):
-            row[j] = max(lo[j], rest - hi_from[j + 1])
-            rest -= row[j]
-        yield tuple(row)
-        for i in range(k - 1, -1, -1):
-            if row[i] < hi[i] and rest > lo_from[i + 1]:
-                break
-            rest += row[i]
-        else:
-            return
-        row[i] += 1
-        rest -= 1
 
 
 def _layers(
@@ -522,18 +492,15 @@ class CliqueWidthSolver:
     # -- expression-tree tables ------------------------------------------
 
     def _build(self) -> None:
-        """Make the node tables, the memo and the DP's caches, once."""
+        """Make the node tables, the memo and the DP's caches, once.
+
+        The tables hold, per node in post-order, ``_info`` (a leaf's vertex
+        and class, else its children and classes), the class sizes and
+        targets of its subgraph, and each class's bound grid.
+        """
         if self._memo is not None:
             return
-        self._build_nodes()
-        self._zero = ((0,) * self.latency,) * self.k
-        self._memo = [{} for _ in self._kind]
-        # class splits by (counts, lo, hi), shared by union and rho nodes
-        self._splits: dict = {}
-
-    def _build_nodes(self) -> None:
         k = self.k
-        kind: list[str] = []
         info: list[tuple] = []
         label_counts: list[tuple[int, ...]] = []
         target_counts: list[tuple[int, ...]] = []
@@ -546,7 +513,6 @@ class CliqueWidthSolver:
         vid = 0  # evaluated ids follow the leaves' post-order
         for idx, node in enumerate(self._nodes):
             if isinstance(node, Leaf):
-                kind.append("leaf")
                 info.append((vid, node.label - 1))
                 one_hot = tuple(int(l == node.label - 1) for l in range(k))
                 label_counts.append(one_hot)
@@ -558,7 +524,6 @@ class CliqueWidthSolver:
             elif isinstance(node, Union):
                 right = stack.pop()
                 left = stack.pop()
-                kind.append("union")
                 info.append((left, right))
                 sizes = label_counts[left], label_counts[right]
                 label_counts.append(_add(*sizes))
@@ -567,7 +532,6 @@ class CliqueWidthSolver:
             elif isinstance(node, Eta):
                 child = stack.pop()
                 a, b = node.a - 1, node.b - 1
-                kind.append("eta")
                 info.append((child, a, b))
                 sizes = label_counts[child]
                 label_counts.append(sizes)
@@ -581,7 +545,6 @@ class CliqueWidthSolver:
             else:
                 child = stack.pop()
                 la, lb = node.a - 1, node.b - 1
-                kind.append("rho")
                 info.append((child, la, lb))
                 sizes = label_counts[child]
                 label_counts.append(_rename(sizes, la, lb))
@@ -591,11 +554,14 @@ class CliqueWidthSolver:
                 grids[la] = empty
                 bounds.append(tuple(grids))
             stack.append(idx)
-        self._kind = kind
         self._info = info
         self._label_counts = label_counts
         self._target_counts = target_counts
         self._grids = bounds
+        self._zero = ((0,) * self.latency,) * k
+        # class splits by (counts, lo, hi), shared by union and rho nodes
+        self._splits: dict = {}
+        self._memo = [{} for _ in self._nodes]
 
     @property
     def node_count(self) -> int:
@@ -670,7 +636,7 @@ class CliqueWidthSolver:
         table = self._memo[node]
         value = table.get((counts, reds))
         if value is None:
-            if self._kind[node] == "leaf":
+            if type(self._nodes[node]) is Leaf:
                 value = table[counts, reds] = self._gamma_leaf(node, counts, reds)
             elif self._exceeds_bound(node, counts, reds):
                 value = table[counts, reds] = False
@@ -728,8 +694,8 @@ class CliqueWidthSolver:
         The witness is the tuple of child queries of the alternative that
         succeeded.
         """
-        kind = self._kind[node]
-        if kind == "union":
+        cls = type(self._nodes[node])
+        if cls is Union:
             left, right = self._info[node]
             for counts1, counts2 in self._union_splits(counts, left, right):
                 first, second = (left, counts1, reds), (right, counts2, reds)
@@ -737,7 +703,7 @@ class CliqueWidthSolver:
                     return first, second
             return False
         child, la, lb = self._info[node]
-        if kind == "eta":
+        if cls is Eta:
             query = (child, counts, self._eta_reductions(counts, reds, la, lb))
             return (query,) if (yield query) else False
         # rho: class la is empty after the rename, so row la of counts is zero
@@ -805,6 +771,8 @@ class CliqueWidthSolver:
         ends the cascade, so every later row is zero.  Row i >= 1 of a
         class is at most its bound at round i with no reduction (see
         :meth:`_exceeds_bound`) less the class total of rows 1..i-1.
+        Every row is a ``product`` of per-class ranges, which comes in
+        lexicographic order; the seed row's is filtered to its sum.
         """
         root = self.root_index
         rows = self.latency + 1
@@ -815,7 +783,9 @@ class CliqueWidthSolver:
             if i < rows - 1:
                 need = zero_row
             if i == 0:
-                return _rows_by_sum(need, left, seeds)
+                hi = (min(c, seeds) for c in left)
+                boxed = product(*(range(n, c + 1) for n, c in zip(need, hi)))
+                return (row for row in boxed if sum(row) == seeds)
             hi = (
                 min(c, grid[min(total, len(grid) - 1)][0] - f)
                 for c, f, grid in zip(left, fired, bounds)
@@ -957,7 +927,7 @@ class CliqueWidthSolver:
         while stack:
             node, counts, reds = stack.pop()
             witness = self._memo[node][counts, reds]
-            if self._kind[node] != "leaf":
+            if type(self._nodes[node]) is not Leaf:
                 stack.extend(witness)
             elif witness[0] is not None:
                 fresh[witness[0]].append(self._info[node][0])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from latss.cliquewidth import (
     CliqueWidthSolver,
     _Bounds,
-    _rows_by_sum,
     decide,
     decide_targets,
     select,
@@ -385,15 +384,56 @@ class TestDecideSelect:
                             admissible[size] = set(found)
                         assert matrix in admissible[size]
 
-    def test_seed_rows_of_one_sum_come_lexicographic(self):
-        rng = random.Random(29)
-        for _ in range(400):
-            lo = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
-            hi = [x + rng.randint(0, 3) for x in lo]
-            total = rng.randint(0, sum(hi) + 1)
-            boxed = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            want = [row for row in boxed if sum(row) == total]
-            assert list(_rows_by_sum(lo, hi, total)) == want
+    def test_root_counts_match_an_exact_reference(self):
+        # every matrix, one row per round and one entry per root label
+        # class, that the scan's conditions admit, in sorted order; the
+        # reference reads the labeled graph, thresholds and targets only
+        rng = random.Random(5)
+        for _ in range(60):
+            expr = random_expression(rng, max_vertices=5, k=3)
+            graph = evaluate(expr).graph
+            n = graph.n
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
+            targets = frozenset(v for v in range(n) if rng.random() < 0.3)
+            latency = rng.randint(0, 2)
+            solver = CliqueWidthSolver(expr, thr, latency, targets)
+            solver._build()
+            graph, labels = solver.labeled.graph, solver.labeled.labels
+            thr, targets = solver.thresholds, solver.targets
+            classes = [
+                [v for v in range(n) if labels[v] == label]
+                for label in range(1, solver.k + 1)
+            ]
+
+            def able(cls, active):
+                # class members that can fire with this many active before
+                return sum(thr[v] <= min(graph.degree(v), active) for v in cls)
+
+            rows = list(product(*(range(len(cls) + 1) for cls in classes)))
+            admitted = []
+            for matrix in product(rows, repeat=latency + 1):
+                columns = [*zip(*matrix)]
+                if not all(
+                    len(targets.intersection(cls)) <= sum(column) <= len(cls)
+                    for cls, column in zip(classes, columns)
+                ):
+                    continue
+                sums = [*map(sum, matrix)]
+                if any(not sums[i] and sums[i + 1] for i in range(1, latency)):
+                    continue
+                if all(
+                    sum(column[1 : i + 1]) <= able(cls, sum(sums[:i]))
+                    for i in range(1, latency + 1)
+                    for cls, column in zip(classes, columns)
+                ):
+                    admitted.append(matrix)
+            for seeds in range(n + 1):
+                for requirement in range(n + 2):
+                    want = sorted(
+                        m for m in admitted
+                        if sum(m[0]) == seeds and sum(map(sum, m)) >= requirement
+                    )
+                    assert list(solver._root_counts(seeds, requirement)) == want
 
     def test_agrees_with_brute_force(self):
         # trees, then width-4 expressions: there a satisfiable root matrix
@@ -422,6 +462,28 @@ class TestDecideSelect:
                         assert verify_solution(inst, chosen)
                         assert len(chosen) == len(witness)
 
+
+    def test_latency_above_n_changes_no_answer(self):
+        # no cascade on n vertices runs past round n, so a latency above n
+        # answers as n does; the CLI reads such a latency as n
+        rng = random.Random(3)
+        for _ in range(150):
+            expr = random_expression(rng, max_vertices=6, k=3)
+            graph = evaluate(expr).graph
+            n = graph.n
+            thr = tuple(rng.randint(0, graph.degree(v) + 1) for v in range(n))
+            targets = frozenset(v for v in range(n) if rng.random() < 0.4)
+            requirement = rng.randint(0, n)
+            at_n = CliqueWidthSolver(expr, thr, n, targets)
+            want = [at_n.decide(budget, requirement) for budget in range(n + 1)]
+            best = at_n.select(n, requirement)
+            for latency in (n + 1, n + 2):
+                solver = CliqueWidthSolver(expr, thr, latency, targets)
+                got = [solver.decide(budget, requirement) for budget in range(n + 1)]
+                assert got == want
+                chosen = solver.select(n, requirement)
+                assert (chosen is None) == (best is None)
+                assert chosen is None or len(chosen) == len(best)
 
     def test_spread_labels_solve_as_dense(self):
         # label l becomes 10**l: the solver renumbers the labels in use 1..k

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library and parses as Python 3.10."""
 
 import ast
 import sys
@@ -25,3 +25,12 @@ def test_every_absolute_import_is_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10.7; this catches syntax
+    # newer than that, such as except*, but not newer library calls
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
