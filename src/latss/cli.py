@@ -248,7 +248,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         selection = trees.solve(graph, thresholds, latency, targets)
     elif method == "brute":
-        selection = oracle._first_seed(
+        selection = oracle.brute_select(
             graph, thresholds, latency, budget, targets, requirement
         )
     else:  # cwd

@@ -48,8 +48,11 @@ greedy seed chain's first s seeds are the answer if, by its tally, they
 meet the requirement and every target; the memo is left alone, since it
 holds only what the DP proved.  Otherwise the root count matrices of
 seed count s are searched in lexicographic order, each row a ``product``
-of per-class ranges, the seed row's filtered to sum s, and the first
-satisfiable one's witness gives the seeds.  The floor and the chain (see
+of per-class ranges, and the first satisfiable one's witness gives the
+seeds.  The seed row's product runs over every class but the last, whose
+entry is s less the others' sum.  The scan asks min(latency, n) rounds,
+since a cascade on n vertices stalls by round n; ``query`` and
+``reconstruct`` take latency + 1 rows.  The floor and the chain (see
 ``_Bounds``) read only the graph, the thresholds, the latency and the
 targets, never the expression.  So a floor above the budget leaves no
 count to try, and a chain that answers at the floor does so before the
@@ -558,7 +561,8 @@ class CliqueWidthSolver:
         self._label_counts = label_counts
         self._target_counts = target_counts
         self._grids = bounds
-        self._zero = ((0,) * self.latency,) * k
+        # the root scan's reductions, for its min(latency, n) rounds
+        self._zero = ((0,) * min(self.latency, self.labeled.graph.n),) * k
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
         self._memo = [{} for _ in self._nodes]
@@ -765,17 +769,20 @@ class CliqueWidthSolver:
     def _root_counts(self, seeds: int, min_total: int) -> Iterator[CountMatrix]:
         """Admissible root count matrices with ``seeds`` seeds, lexicographically.
 
-        Each column sum lies between the targets and the size of its
-        root label class; the seed row sums to ``seeds`` and the whole
-        matrix to at least ``min_total``.  A row i >= 1 that sums to zero
-        ends the cascade, so every later row is zero.  Row i >= 1 of a
-        class is at most its bound at round i with no reduction (see
-        :meth:`_exceeds_bound`) less the class total of rows 1..i-1.
-        Every row is a ``product`` of per-class ranges, which comes in
-        lexicographic order; the seed row's is filtered to its sum.
+        A matrix has a row for each of rounds 0..L, L = min(latency, n):
+        a cascade on n vertices stalls by round n.  Each column sum lies
+        between the targets and the size of its root label class; the
+        seed row sums to ``seeds`` and the whole matrix to at least
+        ``min_total``.  A row i >= 1 that sums to zero ends the cascade,
+        so every later row is zero.  Row i >= 1 of a class is at most its
+        bound at round i with no reduction (see :meth:`_exceeds_bound`)
+        less the class total of rows 1..i-1.  Every row is a ``product``
+        of per-class ranges, which comes in lexicographic order; the seed
+        row's product runs over every class but the last, whose entry is
+        ``seeds`` less the others' sum, kept when it lies in its range.
         """
         root = self.root_index
-        rows = self.latency + 1
+        rows = min(self.latency, self.labeled.graph.n) + 1
         zero_row = (0,) * self.k
         bounds = self._grids[root]
 
@@ -783,9 +790,14 @@ class CliqueWidthSolver:
             if i < rows - 1:
                 need = zero_row
             if i == 0:
-                hi = (min(c, seeds) for c in left)
-                boxed = product(*(range(n, c + 1) for n, c in zip(need, hi)))
-                return (row for row in boxed if sum(row) == seeds)
+                *ranges, last = (
+                    range(n, min(c, seeds) + 1) for n, c in zip(need, left)
+                )
+                return (
+                    (*head, x)
+                    for head in product(*ranges)
+                    if (x := seeds - sum(head)) in last
+                )
             hi = (
                 min(c, grid[min(total, len(grid) - 1)][0] - f)
                 for c, f, grid in zip(left, fired, bounds)
@@ -922,7 +934,7 @@ class CliqueWidthSolver:
     def _process(self, node: int, counts, reductions) -> list[frozenset[int]]:
         # every query a witness names was evaluated satisfiable, so the
         # walk only reads memo entries
-        fresh: list[list[int]] = [[] for _ in range(self.latency + 1)]
+        fresh: list[list[int]] = [[] for _ in counts[0]]
         stack = [(node, counts, reductions)]
         while stack:
             node, counts, reds = stack.pop()

@@ -48,18 +48,18 @@ def cascade(
     return active
 
 
-def _first_seed(
+def brute_select(
     graph: Graph,
     thresholds: Sequence[int],
     latency: int,
-    max_size: int,
+    budget: int,
     targets: Iterable[int],
     requirement: int,
 ) -> frozenset[int] | None:
-    """First seed set activating every target and ``requirement`` vertices.
+    """Fewest seeds within the budget activating every target and the requirement.
 
-    Tries seed sets of at most ``max_size`` vertices by size, then
-    lexicographically, and returns None when none succeeds.
+    Tries seed sets of at most ``budget`` vertices by size, then
+    lexicographically, and returns the first that succeeds, or None.
     """
     if graph.n > DEFAULT_LIMIT:
         raise ValueError(
@@ -68,11 +68,11 @@ def _first_seed(
     n = graph.n
     _check_thresholds(n, thresholds)
     _check_count(latency, "latency")
-    _check_count(max_size, "budget")
+    _check_count(budget, "budget")
     _check_count(requirement, "requirement")
     tmask = sum(1 << v for v in _vertex_set(n, targets, "target"))
     masks = neighbor_masks(graph)
-    for size in range(min(max_size, n) + 1):
+    for size in range(min(budget, n) + 1):
         for comb in combinations(range(n), size):
             seed = 0
             for v in comb:
@@ -94,34 +94,7 @@ def brute_min_target(
     Returns the lexicographically smallest optimum.  Always succeeds:
     seeding all vertices is feasible.
     """
-    found = _first_seed(graph, thresholds, latency, graph.n, targets, 0)
+    found = brute_select(graph, thresholds, latency, graph.n, targets, 0)
     if found is None:
         raise AssertionError("unreachable: seeding all vertices is feasible")
     return found
-
-
-def brute_decision(
-    graph: Graph,
-    thresholds: Sequence[int],
-    latency: int,
-    budget: int,
-    requirement: int,
-) -> tuple[bool, frozenset[int] | None]:
-    """Can ``requirement`` vertices be activated with at most ``budget`` seeds?
-
-    Returns the decision with a witness seed set (smallest, then
-    lexicographic) or ``None``.
-    """
-    found = _first_seed(graph, thresholds, latency, budget, (), requirement)
-    return found is not None, found
-
-
-def brute_select_targets(
-    graph: Graph,
-    thresholds: Sequence[int],
-    latency: int,
-    budget: int,
-    targets: Iterable[int],
-) -> frozenset[int] | None:
-    """Minimum seed set activating all targets, or ``None`` if it exceeds budget."""
-    return _first_seed(graph, thresholds, latency, budget, targets, 0)

@@ -37,7 +37,7 @@ from latss.kexpr import (
     tree_expression,
     unparse,
 )
-from latss.oracle import brute_decision, brute_min_target, brute_select_targets
+from latss.oracle import brute_min_target, brute_select
 from latss.trees import audit, solve, solve_detailed
 
 from strategies import random_expression, tree_corpus
@@ -140,9 +140,9 @@ def test_criterion_4_cwd_decisions_match_brute_force():
             solver = CliqueWidthSolver(expr, thresholds, latency)
             for budget in range(n + 1):
                 for requirement in range(n + 1):
-                    want, _ = brute_decision(
-                        graph, thresholds, latency, budget, requirement
-                    )
+                    want = brute_select(
+                        graph, thresholds, latency, budget, (), requirement
+                    ) is not None
                     got = solver.decide(budget, requirement)
                     assert got == want, (
                         f"decision mismatch on n={n} t={thresholds} "
@@ -180,8 +180,8 @@ def test_criterion_5_cwd_target_variant_matches_brute_force():
             budget = rng.randint(0, n)
             latency = rng.choice((1, 2))
             chosen = select_targets(expr, thresholds, latency, budget, targets)
-            reference = brute_select_targets(
-                graph, thresholds, latency, budget, targets
+            reference = brute_select(
+                graph, thresholds, latency, budget, targets, 0
             )
             assert (chosen is None) == (reference is None), (
                 f"target-variant mismatch on n={n} t={thresholds} "

@@ -330,11 +330,11 @@ class TestSolveCommand:
         instance = document_to_instance(doc)[0]
         args = instance.graph, instance.thresholds, instance.latency
         expected = {
-            "lba": lambda: oracle.brute_decision(
-                *args, instance.budget, instance.requirement
-            )[1],
-            "lbA": lambda: oracle.brute_select_targets(
-                *args, instance.budget, instance.targets
+            "lba": lambda: oracle.brute_select(
+                *args, instance.budget, (), instance.requirement
+            ),
+            "lbA": lambda: oracle.brute_select(
+                *args, instance.budget, instance.targets, 0
             ),
             "lA": lambda: oracle.brute_min_target(*args, instance.targets),
         }[instance.variant]()

@@ -43,12 +43,7 @@ from latss.kexpr import (
     tree_expression,
     unparse,
 )
-from latss.oracle import (
-    _first_seed,
-    brute_decision,
-    brute_min_target,
-    brute_select_targets,
-)
+from latss.oracle import brute_min_target, brute_select
 
 from strategies import expressions, random_expression, relabeled
 
@@ -382,7 +377,11 @@ class TestDecideSelect:
                         if size not in admissible:
                             found = solver._root_counts(size, requirement)
                             admissible[size] = set(found)
-                        assert matrix in admissible[size]
+                        # the scan asks min(latency, n) rounds: later ones
+                        # activate nothing
+                        rounds = min(latency, n)
+                        assert not any(map(any, matrix[rounds + 1 :]))
+                        assert matrix[: rounds + 1] in admissible[size]
 
     def test_root_counts_match_an_exact_reference(self):
         # every matrix, one row per round and one entry per root label
@@ -398,6 +397,8 @@ class TestDecideSelect:
             latency = rng.randint(0, 2)
             solver = CliqueWidthSolver(expr, thr, latency, targets)
             solver._build()
+            # the scan asks min(latency, n) rounds
+            rounds = min(latency, n)
             graph, labels = solver.labeled.graph, solver.labeled.labels
             thr, targets = solver.thresholds, solver.targets
             classes = [
@@ -411,7 +412,7 @@ class TestDecideSelect:
 
             rows = list(product(*(range(len(cls) + 1) for cls in classes)))
             admitted = []
-            for matrix in product(rows, repeat=latency + 1):
+            for matrix in product(rows, repeat=rounds + 1):
                 columns = [*zip(*matrix)]
                 if not all(
                     len(targets.intersection(cls)) <= sum(column) <= len(cls)
@@ -419,11 +420,11 @@ class TestDecideSelect:
                 ):
                     continue
                 sums = [*map(sum, matrix)]
-                if any(not sums[i] and sums[i + 1] for i in range(1, latency)):
+                if any(not sums[i] and sums[i + 1] for i in range(1, rounds)):
                     continue
                 if all(
                     sum(column[1 : i + 1]) <= able(cls, sum(sums[:i]))
-                    for i in range(1, latency + 1)
+                    for i in range(1, rounds + 1)
                     for cls, column in zip(classes, columns)
                 ):
                     admitted.append(matrix)
@@ -452,7 +453,8 @@ class TestDecideSelect:
             solver = CliqueWidthSolver(expr, thr, lam)
             for budget in range(n + 1):
                 for req in range(n + 1):
-                    want, witness = brute_decision(lg.graph, thr, lam, budget, req)
+                    witness = brute_select(lg.graph, thr, lam, budget, (), req)
+                    want = witness is not None
                     assert solver.decide(budget, req) == want
                     if want:
                         chosen = solver.select(budget, req)
@@ -465,7 +467,9 @@ class TestDecideSelect:
 
     def test_latency_above_n_changes_no_answer(self):
         # no cascade on n vertices runs past round n, so a latency above n
-        # answers as n does; the CLI reads such a latency as n
+        # answers as n does; the CLI reads such a latency as n, and the
+        # solver's root scan asks min(latency, n) rounds, so even a latency
+        # past any index size answers
         rng = random.Random(3)
         for _ in range(150):
             expr = random_expression(rng, max_vertices=6, k=3)
@@ -477,7 +481,7 @@ class TestDecideSelect:
             at_n = CliqueWidthSolver(expr, thr, n, targets)
             want = [at_n.decide(budget, requirement) for budget in range(n + 1)]
             best = at_n.select(n, requirement)
-            for latency in (n + 1, n + 2):
+            for latency in (n + 1, n + 2, 10**30):
                 solver = CliqueWidthSolver(expr, thr, latency, targets)
                 got = [solver.decide(budget, requirement) for budget in range(n + 1)]
                 assert got == want
@@ -546,7 +550,7 @@ class TestTargetVariant:
             for _ in range(6):
                 targets = {v for v in range(n) if rng.random() < 0.5}
                 budget = rng.randint(0, n)
-                want = brute_select_targets(lg.graph, thr, lam, budget, targets)
+                want = brute_select(lg.graph, thr, lam, budget, targets, 0)
                 assert decide_targets(expr, thr, lam, budget, targets) == (
                     want is not None
                 )
@@ -583,7 +587,7 @@ class TestStallPruning:
             solver = CliqueWidthSolver(expr, thr, n)
             for budget in range(n + 1):
                 for req in range(n + 1):
-                    want, _ = brute_decision(graph, thr, n, budget, req)
+                    want = brute_select(graph, thr, n, budget, (), req) is not None
                     assert solver.decide(budget, req) == want
 
     def test_targets_match_brute_force(self):
@@ -593,7 +597,7 @@ class TestStallPruning:
             solver = CliqueWidthSolver(expr, thr, n, targets)
             smallest = len(brute_min_target(graph, thr, n, targets))
             for budget in range(n + 1):
-                want = brute_select_targets(graph, thr, n, budget, targets)
+                want = brute_select(graph, thr, n, budget, targets, 0)
                 assert (want is not None) == (budget >= smallest)
                 chosen = solver.select(budget)
                 assert (chosen is not None) == (want is not None)
@@ -949,10 +953,10 @@ class TestSeedFloor:
                     )
             plain = CliqueWidthSolver(expr, thr, lam)
             for req in range(n + 1):
-                found = _first_seed(graph, thr, lam, n, (), req)
+                found = brute_select(graph, thr, lam, n, (), req)
                 if found is not None:
                     assert plain._bounds.seed_floor(req) <= len(found)
-                found = _first_seed(graph, thr, lam, n, targets, req)
+                found = brute_select(graph, thr, lam, n, targets, req)
                 if found is not None:
                     assert solver._bounds.seed_floor(req) <= len(found)
 

@@ -13,7 +13,7 @@ import pytest
 from latss.cliquewidth import CliqueWidthSolver
 from latss.graphs import Graph, Instance, path_graph, simulate
 from latss.kexpr import path_expression
-from latss.oracle import brute_decision, brute_min_target
+from latss.oracle import brute_min_target, brute_select
 from latss.trees import solve
 
 N = 3
@@ -37,8 +37,14 @@ ENGINES = {
     "oracle.brute_min_target": lambda a: brute_min_target(
         path_graph(N), a["thresholds"], a["latency"], a["vertices"]
     ),
-    "oracle.brute_decision": lambda a: brute_decision(
-        path_graph(N), a["thresholds"], a["latency"], a["budget"], a["requirement"]
+    # the decision variant's question: no targets
+    "oracle.brute_decision": lambda a: brute_select(
+        path_graph(N), a["thresholds"], a["latency"], a["budget"], (),
+        a["requirement"],
+    ),
+    "oracle.brute_select": lambda a: brute_select(
+        path_graph(N), a["thresholds"], a["latency"], a["budget"], a["vertices"],
+        a["requirement"],
     ),
 }
 # the kinds of entry each engine takes
@@ -46,6 +52,9 @@ KINDS = {
     "Graph": ("vertices",),
     "CliqueWidthSolver": ("vertices", "thresholds", "latency", "budget", "requirement"),
     "oracle.brute_decision": ("thresholds", "latency", "budget", "requirement"),
+    "oracle.brute_select": (
+        "vertices", "thresholds", "latency", "budget", "requirement"
+    ),
 }
 # 0.5 and 1.5 lie between valid values, so only a type check refuses them
 BAD = [1.0, 0.5, 1.5, True, "0", None, [0], -1, N]
@@ -75,9 +84,7 @@ def test_refused_with_value_error(engine, kind, bad):
 def test_budget_above_n_is_valid(budget):
     solver = CliqueWidthSolver(path_expression(N), (1, 1, 1), 2)
     assert solver.select(budget, N) == frozenset({0})
-    assert brute_decision(path_graph(N), (1, 1, 1), 2, budget, N) == (
-        True, frozenset({0})
-    )
+    assert brute_select(path_graph(N), (1, 1, 1), 2, budget, (), N) == frozenset({0})
 
 
 # seeding the middle vertex of the path 0-1-2 (labels 3, 2, 1) at latency 1

@@ -13,11 +13,7 @@ from latss.graphs import (
     random_tree,
     verify_solution,
 )
-from latss.oracle import (
-    brute_decision,
-    brute_min_target,
-    brute_select_targets,
-)
+from latss.oracle import brute_min_target, brute_select
 
 from strategies import graphs
 
@@ -57,34 +53,34 @@ class TestBruteMinTarget:
 
 class TestBruteDecision:
     def test_budget_covers_requirement_directly(self):
-        ok, witness = brute_decision(path_graph(4), (1,) * 4, 0, 3, 3)
-        assert ok and witness is not None and len(witness) <= 3
+        witness = brute_select(path_graph(4), (1,) * 4, 0, 3, (), 3)
+        assert witness is not None and len(witness) <= 3
 
     def test_round_zero_cannot_exceed_budget(self):
-        ok, witness = brute_decision(path_graph(4), (1,) * 4, 0, 1, 2)
-        assert not ok and witness is None
+        witness = brute_select(path_graph(4), (1,) * 4, 0, 1, (), 2)
+        assert witness is None
 
     def test_one_seed_spreads_on_an_edge(self):
-        ok, witness = brute_decision(Graph(2, [(0, 1)]), (1, 1), 1, 1, 2)
-        assert ok and witness == frozenset({0})
+        witness = brute_select(Graph(2, [(0, 1)]), (1, 1), 1, 1, (), 2)
+        assert witness == frozenset({0})
 
     def test_witness_is_lexicographically_first(self):
-        ok, witness = brute_decision(path_graph(3), (1, 1, 1), 2, 2, 3)
-        assert ok and witness == frozenset({0})
+        witness = brute_select(path_graph(3), (1, 1, 1), 2, 2, (), 3)
+        assert witness == frozenset({0})
 
 
 class TestBruteSelectTargets:
     def test_seeding_targets_always_feasible_within_budget(self):
         g = path_graph(4)
         targets = {1, 3}
-        got = brute_select_targets(g, (1, 2, 2, 1), 1, len(targets), targets)
+        got = brute_select(g, (1, 2, 2, 1), 1, len(targets), targets, 0)
         assert got is not None and len(got) <= len(targets)
 
     def test_empty_targets(self):
-        assert brute_select_targets(path_graph(2), (1, 1), 1, 0, set()) == frozenset()
+        assert brute_select(path_graph(2), (1, 1), 1, 0, set(), 0) == frozenset()
 
     def test_zero_budget_blocks_nonempty_targets(self):
-        assert brute_select_targets(path_graph(3), (1, 2, 1), 1, 0, {0, 1, 2}) is None
+        assert brute_select(path_graph(3), (1, 2, 1), 1, 0, {0, 1, 2}, 0) is None
 
 
 @settings(max_examples=60, deadline=None)
