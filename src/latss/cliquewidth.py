@@ -2,12 +2,13 @@
 
 The solver walks the expression tree of an irredundant k-expression.
 For a tree node whose labeled subgraph is H, a query is a pair
-``(counts, reductions)`` with one row per label class:
+``(counts, reductions)`` with one row per label class over rounds 0..r,
+r the latency or min(latency, n) (see the root scan below):
 
 * ``counts[l][i]`` — how many label-(l+1) vertices must become active at
-  round i (entry 0 is the seed round), for i in 0..latency;
+  round i (entry 0 is the seed round), for i in 0..r;
 * ``reductions[l][i-1]`` — how much the thresholds of label-(l+1)
-  vertices are lowered at round i, for i in 1..latency.
+  vertices are lowered at round i, for i in 1..r.
 
 The public methods, the memo keys and the queries passed between nodes
 all take this form: a union splits each class's counts, a rename merges
@@ -15,7 +16,7 @@ two classes, and an edge insertion adds a running count of one class to
 the other's reductions.
 
 A query is satisfiable iff H admits a monotone process S[0] ⊆ ... ⊆
-S[latency] that activates exactly the demanded per-label counts each
+S[r] that activates exactly the demanded per-label counts each
 round under the reduced thresholds, and that activates every target
 vertex of H.  The target set is fixed per solver and enters as a leaf
 constraint: a target leaf must activate at some round.  Each node keeps
@@ -48,11 +49,11 @@ greedy seed chain's first s seeds are the answer if, by its tally, they
 meet the requirement and every target; the memo is left alone, since it
 holds only what the DP proved.  Otherwise the root count matrices of
 seed count s are searched in lexicographic order, each row a ``product``
-of per-class ranges, and the first satisfiable one's witness gives the
-seeds.  The seed row's product runs over every class but the last, whose
-entry is s less the others' sum.  The scan asks min(latency, n) rounds,
-since a cascade on n vertices stalls by round n; ``query`` and
-``reconstruct`` take latency + 1 rows.  The floor and the chain (see
+of per-class ranges, the seed row's last entry s less the others' sum,
+and the first satisfiable one's witness gives the seeds.  The scan asks
+r = min(latency, n) rounds, as a cascade on n vertices stalls by round
+n; ``query`` and ``reconstruct`` take that r or r = latency, so every
+witnessed entry is a valid query.  The floor and the chain (see
 ``_Bounds``) read only the graph, the thresholds, the latency and the
 targets, never the expression.  So a floor above the budget leaves no
 count to try, and a chain that answers at the floor does so before the
@@ -480,6 +481,7 @@ class CliqueWidthSolver:
             raise IrredundancyError(list(_labeled.violations))
         _check_count(latency, "latency")
         self.latency = latency
+        self._scan_rounds = min(latency, _labeled.graph.n)
         self.thresholds = normalize_thresholds(_labeled.graph, thresholds)
         self.targets = _vertex_set(_labeled.graph.n, targets, "target")
         self.rcap = max(self.thresholds, default=0)
@@ -561,8 +563,7 @@ class CliqueWidthSolver:
         self._label_counts = label_counts
         self._target_counts = target_counts
         self._grids = bounds
-        # the root scan's reductions, for its min(latency, n) rounds
-        self._zero = ((0,) * min(self.latency, self.labeled.graph.n),) * k
+        self._zero = ((0,) * self._scan_rounds,) * k
         # class splits by (counts, lo, hi), shared by union and rho nodes
         self._splits: dict = {}
         self._memo = [{} for _ in self._nodes]
@@ -769,20 +770,18 @@ class CliqueWidthSolver:
     def _root_counts(self, seeds: int, min_total: int) -> Iterator[CountMatrix]:
         """Admissible root count matrices with ``seeds`` seeds, lexicographically.
 
-        A matrix has a row for each of rounds 0..L, L = min(latency, n):
-        a cascade on n vertices stalls by round n.  Each column sum lies
-        between the targets and the size of its root label class; the
-        seed row sums to ``seeds`` and the whole matrix to at least
-        ``min_total``.  A row i >= 1 that sums to zero ends the cascade,
-        so every later row is zero.  Row i >= 1 of a class is at most its
-        bound at round i with no reduction (see :meth:`_exceeds_bound`)
-        less the class total of rows 1..i-1.  Every row is a ``product``
-        of per-class ranges, which comes in lexicographic order; the seed
-        row's product runs over every class but the last, whose entry is
-        ``seeds`` less the others' sum, kept when it lies in its range.
+        A matrix has rows 0..min(latency, n).  Each column sum lies between
+        the targets and the size of its root label class; the seed row sums
+        to ``seeds`` and the whole matrix to at least ``min_total``.  A row
+        i >= 1 that sums to zero ends the cascade, so every later row is
+        zero.  Row i >= 1 of a class is at most its bound at round i with no
+        reduction (see :meth:`_exceeds_bound`) less the class total of rows
+        1..i-1.  Every row is a ``product`` of per-class ranges, which comes
+        in lexicographic order; the seed row's last entry is ``seeds`` less
+        the others' sum, kept when it lies in its range.
         """
         root = self.root_index
-        rows = min(self.latency, self.labeled.graph.n) + 1
+        rows = self._scan_rounds + 1
         zero_row = (0,) * self.k
         bounds = self._grids[root]
 
@@ -873,10 +872,13 @@ class CliqueWidthSolver:
             counts, reds = tuple(map(tuple, counts)), tuple(map(tuple, reductions))
         except TypeError:
             raise ValueError("counts and reductions must be rows of ints") from None
-        shape = (self.latency + 1,) * self.k + (self.latency,) * self.k
-        if (*map(len, counts), *map(len, reds)) != shape:
+        if (*map(len, counts), *map(len, reds)) not in {
+            (rounds + 1,) * self.k + (rounds,) * self.k
+            for rounds in (self.latency, self._scan_rounds)
+        }:
             raise ValueError(
-                "each label class needs latency+1 counts and latency reductions"
+                "each label class needs r+1 counts and r reductions,"
+                " r the latency or min(latency, n)"
             )
         entries = [x for row in (*counts, *reds) for x in row]
         if not set(map(type, entries)) <= {int}:

@@ -1102,6 +1102,51 @@ class TestWitnesses:
             assert all(len(row) == latency for row in reds)
             assert len(solver.reconstruct(counts, reds, node)) == latency + 1
 
+    @pytest.mark.parametrize("above", [1, 10**30])
+    def test_reconstruction_is_sound_above_n(self, above):
+        # past n the scan's entries have min(latency, n) rounds; query and
+        # reconstruct take them as witnessed_entries lists them
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(15):
+            expr = random_expression(rng, max_vertices=5, k=3)
+            lg = evaluate(expr)
+            n = lg.graph.n
+            thr = tuple(rng.randint(0, lg.graph.degree(v) + 1) for v in range(n))
+            targets = {v for v in range(n) if rng.random() < 0.5}
+            solver = CliqueWidthSolver(expr, thr, n + above, targets)
+            for budget in range(n + 1):
+                for req in range(n + 1):
+                    solver.decide(budget, req)
+            for node, counts, reds in solver.witnessed_entries():
+                process = solver.reconstruct(counts, reds, node)
+                assert len(process) == n + 1
+                local, local_thr, to_local = solver.subgraph(node)
+                mapped = [
+                    frozenset(to_local[v] for v in stage) for stage in process
+                ]
+                assert verify_schedule(local, local_thr, counts, reds, mapped)
+                if node == solver.root_index:
+                    assert solver.query(counts, reds)
+                checked += 1
+        assert checked
+
+    def test_queries_take_latency_or_n_rounds(self):
+        # on a 3-vertex star at latency 4, a query has 4 or 3 rounds; seeding
+        # every vertex is satisfiable in either
+        expr = tree_expression(star_graph(3))
+        solver = CliqueWidthSolver(expr, (2, 2, 2), 4)
+        sizes = [evaluate(expr).labels.count(lab) for lab in range(1, solver.k + 1)]
+        for rounds in (4, 3):
+            every = tuple((size,) + (0,) * rounds for size in sizes)
+            assert solver.query(every, ((0,) * rounds,) * solver.k)
+            assert len(solver.reconstruct(every, ((0,) * rounds,) * solver.k)) == (
+                rounds + 1
+            )
+        every = tuple((size, 0, 0) for size in sizes)
+        with pytest.raises(ValueError, match="r the latency or min"):
+            solver.query(every, ((0, 0),) * solver.k)
+
     def test_reconstruct_rejects_unsatisfiable(self):
         solver = solver_for("1(u)", (1,), 1)
         with pytest.raises(ValueError, match="not satisfiable"):

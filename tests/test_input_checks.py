@@ -37,13 +37,15 @@ ENGINES = {
     "oracle.brute_min_target": lambda a: brute_min_target(
         path_graph(N), a["thresholds"], a["latency"], a["vertices"]
     ),
-    # the decision variant's question: no targets
-    "oracle.brute_decision": lambda a: brute_select(
-        path_graph(N), a["thresholds"], a["latency"], a["budget"], (),
-        a["requirement"],
-    ),
+    # brute_select's targets, and its other four inputs under the decision
+    # variant's question (no targets), the row's name before brute_select
+    # answered it
     "oracle.brute_select": lambda a: brute_select(
         path_graph(N), a["thresholds"], a["latency"], a["budget"], a["vertices"],
+        a["requirement"],
+    ),
+    "oracle.brute_decision": lambda a: brute_select(
+        path_graph(N), a["thresholds"], a["latency"], a["budget"], (),
         a["requirement"],
     ),
 }
@@ -51,10 +53,8 @@ ENGINES = {
 KINDS = {
     "Graph": ("vertices",),
     "CliqueWidthSolver": ("vertices", "thresholds", "latency", "budget", "requirement"),
+    "oracle.brute_select": ("vertices",),
     "oracle.brute_decision": ("thresholds", "latency", "budget", "requirement"),
-    "oracle.brute_select": (
-        "vertices", "thresholds", "latency", "budget", "requirement"
-    ),
 }
 # 0.5 and 1.5 lie between valid values, so only a type check refuses them
 BAD = [1.0, 0.5, 1.5, True, "0", None, [0], -1, N]
