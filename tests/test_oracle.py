@@ -1,6 +1,7 @@
 """Brute-force solver behaviour: determinism, bounds, monotonicity."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,14 @@ from latss.graphs import (
     random_tree,
     verify_solution,
 )
-from latss.oracle import brute_min_target, brute_select
+from latss import trees
+from latss.oracle import (
+    _lanes,
+    brute_min_target,
+    brute_select,
+    cascade,
+    neighbor_masks,
+)
 
 from strategies import graphs
 
@@ -96,3 +104,95 @@ def test_minimum_shrinks_with_latency_and_grows_with_targets(g, lam, data):
     fewer = len(brute_min_target(g, thr, lam, smaller_targets))
     assert later <= now
     assert fewer <= now
+
+
+def _first_by_enumeration(g, thresholds, latency, budget, targets, requirement):
+    """The first seed set, by size then lexicographically, run one at a time."""
+    masks = neighbor_masks(g)
+    tmask = sum(1 << v for v in set(targets))
+    for size in range(min(budget, g.n) + 1):
+        for seeds in combinations(range(g.n), size):
+            final = cascade(masks, thresholds, sum(1 << v for v in seeds), latency)
+            if final & tmask == tmask and final.bit_count() >= requirement:
+                return frozenset(seeds)
+    return None
+
+
+class TestLanes:
+    """All seed sets of one size run as one bit-sliced cascade."""
+
+    def test_lanes_follow_combinations_order(self):
+        for n in range(9):
+            for size in range(n + 1):
+                lanes = _lanes(n, size)
+                expected = list(combinations(range(n), size))
+                read = [
+                    tuple(v for v in range(n) if lanes[v] >> j & 1)
+                    for j in range(len(expected))
+                ]
+                assert read == expected, (n, size)
+
+    def test_lanes_match_one_seed_set_at_a_time(self):
+        rng = random.Random(30)
+        for _ in range(2000):
+            n = rng.randint(0, 9)
+            density = rng.random()
+            g = Graph(
+                n,
+                [
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    if rng.random() < density
+                ],
+            )
+            thr = tuple(
+                10**18 if rng.random() < 0.05 else rng.randint(0, g.degree(v) + 2)
+                for v in range(n)
+            )
+            lam = 10**30 if rng.random() < 0.1 else rng.randint(0, n + 1)
+            budget = 10**30 if rng.random() < 0.1 else rng.randint(0, n)
+            if rng.random() < 0.5:
+                targets = [v for v in range(n) if rng.random() < 0.5]
+                requirement = 0
+            else:
+                targets = []
+                requirement = rng.randint(0, n + 1)
+            args = (g, thr, lam, budget, targets, requirement)
+            assert brute_select(*args) == _first_by_enumeration(*args), args
+
+
+class TestAtTheCap:
+    """Twenty vertices, the largest instance brute force takes."""
+
+    def test_random_trees_match_the_tree_solver(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            g = random_tree(20, rng)
+            thr = tuple(rng.randint(1, g.degree(v) + 1) for v in range(20))
+            targets = frozenset(v for v in range(20) if rng.random() < 0.5)
+            lam = rng.randint(1, 4)
+            best = brute_min_target(g, thr, lam, targets)
+            assert len(best) == len(trees.solve(g, thr, lam, targets))
+            assert verify_solution(Instance(g, thr, lam, targets=targets), best)
+
+    def test_dense_graph_needs_a_vertex_cover(self):
+        # with t(v) = deg(v) an unseeded vertex waits for all its
+        # neighbours, so the seeds must cover every edge; this graph's
+        # largest independent set has 5 vertices, so 15 seeds are needed
+        rng = random.Random(2)
+        g = Graph(
+            20,
+            [
+                (u, v)
+                for u in range(20)
+                for v in range(u + 1, 20)
+                if rng.random() < 0.5
+            ],
+        )
+        thr = tuple(g.degree(v) for v in range(20))
+        everyone = frozenset(range(20))
+        best = brute_min_target(g, thr, 2, everyone)
+        assert len(best) == 15
+        assert verify_solution(Instance(g, thr, 2, targets=everyone), best)
+        assert brute_select(g, thr, 2, 14, everyone, 0) is None
