@@ -121,10 +121,12 @@ def document_to_instance(
 
 def _read_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path} is not UTF-8 text: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         # a RecursionError is JSON nested deeper than the decoder goes
         raise InstanceError(f"{path} is not readable JSON: {exc}") from exc
@@ -292,10 +294,12 @@ def _kexpr_source(args: argparse.Namespace) -> str:
         return args.expr
     if args.file is not None:
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 return fh.read()
         except OSError as exc:
             raise InstanceError(f"cannot read {args.file}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{args.file} is not UTF-8 text: {exc}") from exc
     doc = _read_json(args.instance)  # argparse requires exactly one source
     if not isinstance(doc, dict) or "kexpr" not in doc:
         raise InstanceError("instance document has no kexpr field")

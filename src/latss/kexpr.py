@@ -26,15 +26,20 @@ never mutated once built.  ``latss gen`` prints its expression as
 built, naming each leaf by its vertex id in the one print walk, rather
 than rebuilding the tree through :func:`canonicalize_names`.
 
-The parser first finds any unexpected character with one regex search,
-and reports it ahead of every other error.  It then lists the tokens as
-plain strings a window of text at a time, not one by one as it needs
-them, checks each construct once, token by token in reading order, and
-works out a line and column only when it raises.  One checked
-post-order pass holds every well-formedness check; :func:`evaluate`,
-:func:`check_irredundant` and :func:`normalize_irredundant` are one loop
-over its node list, near-linear in the expression size plus the edges
-produced, and refuse a malformed tree as :func:`validate` does.  A root
+The parser first screens the text with string builtins: an ASCII text
+passes when ``str.translate`` deletes every character of it and each
+'-' and '>' is part of a '->'.  Only a text that fails the screen gets a
+regex search, which finds the unexpected character to report ahead of
+every other error, or none when the only non-ASCII characters are
+blanks.  The parser then lists the tokens as plain strings a window of
+text at a time, by spacing out the marks and splitting at blanks, not
+one by one as it needs them, checks each construct once, token by token
+in reading order, and works out a line and column only when it raises.
+One checked post-order pass holds every well-formedness check;
+:func:`evaluate`, :func:`check_irredundant` and
+:func:`normalize_irredundant` are one loop over its node list,
+near-linear in the expression size plus the edges produced, and refuse
+a malformed tree as :func:`validate` does.  A root
 path is read off the list only for an insertion that violates.  The
 clique-width solver builds its node table and its evaluation from that
 list too, so it walks an expression once.
@@ -207,8 +212,18 @@ class IrredundancyViolation:
 # Any character the grammar has no token for: a '-' not starting '->', a
 # '>' not ending one, or a non-blank that is no word character or mark.
 _BAD_RE = re.compile(r"[^\sA-Za-z0-9_(),>-]|-(?!>)|(?<!-)>")
-# Once _BAD_RE finds nothing, every non-blank belongs to one of these.
+# Once _BAD_RE finds nothing, every non-blank belongs to one of these;
+# _error scans with it again to place the token it reports.
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|->|[(),]")
+# str.translate deletes every ASCII blank, word character and mark, so an
+# ASCII text it empties, whose every '-' and '>' is in a '->', holds nothing
+# _BAD_RE finds.  Built over ASCII only: a table over all of Unicode costs
+# every import about 0.15 s.
+_ASCII_OK = str.maketrans(
+    dict.fromkeys(
+        c for c in map(chr, range(128)) if c.isspace() or c.isalnum() or c in "_(),->"
+    )
+)
 # Tokens are listed a window of text at a time; a window ends just after
 # the first ',' this many characters in, so no token spans two windows.
 _WINDOW = 1 << 16
@@ -219,12 +234,36 @@ _MARKS = frozenset(["(", ")", ",", "->", ""])  # every token that is no word
 _HEADERS = {"eta": (Eta, ","), "rho": (Rho, "->")}
 
 
+def _screened(text: str) -> bool:
+    """Whether ``_BAD_RE`` surely finds nothing in ``text``, told without a regex.
+
+    False for any text with a non-ASCII character, blank or not.
+    """
+    return (
+        text.isascii()
+        and not text.translate(_ASCII_OK)
+        and text.count("-") == text.count("->") == text.count(">")
+    )
+
+
 def _windows(text: str):
-    """The text's tokens, a window at a time; the last window ends with ``_END``."""
+    """The text's tokens, a window at a time; the last window ends with ``_END``.
+
+    The text must hold nothing ``_BAD_RE`` finds.  Then spacing out the
+    marks and splitting at blanks lists what ``_TOKEN_RE.findall`` would:
+    ``str.split`` and the regex ``\\s`` split at the same characters.
+    """
     pos, end = 0, len(text)
     while True:
         cut = text.find(",", pos + _WINDOW) + 1 or end
-        toks = _TOKEN_RE.findall(text, pos, cut)
+        toks = (
+            text[pos:cut]
+            .replace("(", " ( ")
+            .replace(")", " ) ")
+            .replace(",", " , ")
+            .replace("->", " -> ")
+            .split()
+        )
         if cut == end:
             yield toks + _END
             return
@@ -257,15 +296,22 @@ def parse(text: str) -> KExpr:
     otherwise the first error in reading order, as each construct is
     checked once, token by token (equal labels at the eta or rho).
 
-    One regex search finds the first unexpected character.  The tokens
-    are then listed as plain strings, one window of text at a time, and
-    the parser indexes into that short list, so memory beyond the tree
-    stays small.  A token's line and column are worked out only when it
-    raises, by scanning the text again up to that token.
+    A clean text runs no regex.  Its characters are screened with
+    ``str.translate`` and ``str.count``; a regex search looks for the
+    first unexpected character only in a text that fails that screen.
+    The tokens are then listed as plain strings, one window of text at a
+    time, by ``str.replace`` and ``str.split``, and the parser indexes
+    into that short list, so memory beyond the tree stays small.  A
+    token's line and column are worked out only when it raises, by
+    scanning the text again up to that token.  Raises
+    :class:`KExprError` if ``text`` is not a ``str``.
     """
-    bad = _BAD_RE.search(text)
-    if bad is not None:
-        raise _parse_error(text, f"unexpected character {bad.group()!r}", bad.start())
+    if not isinstance(text, str):
+        raise KExprError(f"expression text must be a str, not {type(text).__name__}")
+    if not _screened(text):
+        bad = _BAD_RE.search(text)  # None if only blanks are non-ASCII
+        if bad is not None:
+            raise _parse_error(text, f"unexpected character {bad.group()!r}", bad.start())
 
     # int() refuses longer labels; a limit of 0 means none
     digits = sys.get_int_max_str_digits() or len(text)

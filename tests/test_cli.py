@@ -214,6 +214,24 @@ class TestRefusals:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--method", "tree", "--instance"],
+            ["simulate", "--seed", "0", "--instance"],
+            ["kexpr", "parse", "--instance"],
+            ["kexpr", "parse", "--file"],
+        ],
+        ids=["solve", "simulate", "kexpr-instance", "kexpr-file"],
+    )
+    def test_file_not_utf8_is_named(self, tmp_path, argv):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "edges": [], "kexpr": "1(\xff)"}')
+        code, out, err = run_captured(argv + [str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not UTF-8 text: ")
+        assert "can't decode byte 0xff" in err
+
 
 class TestSimulateCommand:
     def test_trace_document(self, capsys, tmp_path):

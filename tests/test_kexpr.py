@@ -9,7 +9,9 @@ from functools import reduce
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latss import kexpr
 from latss.cli import main
 from latss.cliquewidth import CliqueWidthSolver
 from latss.graphs import Graph, path_graph, random_tree
@@ -226,6 +228,24 @@ class TestParse:
         assert depth >= 100_000
         assert unparse(expr) == text
 
+    @pytest.mark.parametrize("text", [None, 5, b"1(a)", ["1(a)"]], ids=repr)
+    def test_non_str_is_refused(self, text):
+        with pytest.raises(KExprError, match="expression text must be a str, not"):
+            parse(text)
+
+    def test_clean_text_runs_no_regex_scan(self, monkeypatch):
+        class NoScan:
+            def __getattr__(self, name):
+                raise AssertionError(f"a regex {name} ran on a clean text")
+
+        text = unparse(tree_expression(random_tree(5000, random.Random(3))))
+        expected = parse(text)
+        text = text.replace(", U(", ",\n\tU(")  # ASCII blanks pass the screen
+        assert len(text) > 3 * kexpr._WINDOW
+        monkeypatch.setattr(kexpr, "_BAD_RE", NoScan())
+        monkeypatch.setattr(kexpr, "_TOKEN_RE", NoScan())
+        assert parse(text) == expected
+
     def test_parse_memory_stays_near_the_tree(self):
         # a list of every token would hold about 2.7 times the tree
         text = unparse(path_expression(10_000))
@@ -238,6 +258,38 @@ class TestParse:
             tracemalloc.stop()
         assert expr is not None
         assert peak - before <= 1.5 * (kept - before)
+
+
+# token pieces and ASCII and non-ASCII blanks, and characters or marks
+# the grammar has no token for, a few of which go into each text
+_PIECES = [
+    *"aZ09_", "eta", "17", "(", ")", ",", "->", "U(", "1(a),", "rho(2->1,", "), ",
+    " ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u3000",
+]
+_STRAYS = ["-", ">", "-->", "->>", "\u00e9", "!"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(_PIECES), max_size=60),
+    st.lists(st.tuples(st.integers(0, 60), st.sampled_from(_STRAYS)), max_size=2),
+    st.integers(0, 8),
+)
+def test_screen_and_split_tokens_match_the_regexes(pieces, strays, window):
+    for at, stray in strays:
+        pieces.insert(at, stray)
+    text = "".join(pieces)
+    clean = kexpr._BAD_RE.search(text) is None
+    assert kexpr._screened(text) == (clean and text.isascii())
+    if not clean:
+        return
+    # windows of a few characters, so a text spans several
+    saved, kexpr._WINDOW = kexpr._WINDOW, window
+    try:
+        toks = [tok for win in kexpr._windows(text) for tok in win]
+    finally:
+        kexpr._WINDOW = saved
+    assert toks == kexpr._TOKEN_RE.findall(text) + kexpr._END
 
 
 class TestUnparse:
