@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from random import Random
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 
 class Graph:
@@ -27,7 +27,11 @@ class Graph:
 
     Edges are normalized to sorted pairs and deduplicated; adjacency
     lists are derived once at construction.  Entries other than two
-    ints, self-loops and out-of-range endpoints are rejected.
+    ints, self-loops and out-of-range endpoints are rejected.  The
+    checking loop lists the normalized pairs, and they are hashed once,
+    into ``edges``; the adjacency lists are filled from that list (from
+    ``edges`` when the input repeated a pair) and each list with more
+    than one neighbour is sorted in place.
     """
 
     __slots__ = ("n", "edges", "adjacency")
@@ -35,7 +39,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if type(n) is not int or n < 0:
             raise ValueError("vertex count must be a non-negative int")
-        es = set()
+        pairs = []
         for entry in edges:
             try:
                 u, v = entry
@@ -47,8 +51,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            es.add((u, v) if u < v else (v, u))
-        self._fill(n, es)
+            pairs.append((u, v) if u < v else (v, u))
+        self._fill(n, pairs)
 
     @classmethod
     def _from_normalized(cls, n: int, edges: set[tuple[int, int]]) -> "Graph":
@@ -61,16 +65,19 @@ class Graph:
         graph._fill(n, edges)
         return graph
 
-    def _fill(self, n: int, edges: set[tuple[int, int]]) -> None:
+    def _fill(self, n: int, pairs: Collection[tuple[int, int]]) -> None:
         self.n: int = n
-        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
+        self.edges: frozenset[tuple[int, int]] = frozenset(pairs)
+        if len(self.edges) != len(pairs):  # the input repeated a pair
+            pairs = self.edges
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nb)) for nb in adj
-        )
+        for nb in adj:
+            if len(nb) > 1:
+                nb.sort()
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -288,38 +295,47 @@ def simulate(
     threshold-many neighbours active at round i-1.  Neighbour counts
     are maintained incrementally, so total work is O(V + E), however
     large the latency: the run stops at the first round that activates
-    nothing.
+    nothing.  Each round, the vertices that fired last raise their
+    inactive neighbours' counts, and a neighbour is queued for the next
+    round when its count reaches its threshold, which happens once at
+    most; round 1 also takes the threshold-0 vertices.  So no round
+    rescans the vertices or builds a candidate set.
     """
     n = graph.n
     _check_thresholds(n, thresholds)
     _check_count(latency, "latency")
     seed_set = _vertex_set(n, seed, "seed")
 
+    adjacency = graph.adjacency
     active = bytearray(n)
     hits = [0] * n
     for v in seed_set:
         active[v] = 1
-    for v in seed_set:
-        for w in graph.adjacency[v]:
-            hits[w] += 1
-
-    steps: list[frozenset[int]] = [seed_set]
-    # round 1's candidates include the threshold-0 vertices; after that a
-    # vertex can only become ready when a neighbour has just fired
-    newly = {w for w in range(n) if not active[w] and hits[w] >= thresholds[w]}
-    while newly and len(steps) <= latency:
+    steps: list[frozenset[int]] = []
+    newly: Iterable[int] = seed_set
+    # a threshold-0 vertex fires in round 1 with no active neighbour
+    ready = (
+        [w for w in range(n) if not thresholds[w] and not active[w]]
+        if 0 in thresholds
+        else []
+    )
+    while True:
+        steps.append(frozenset(newly))
+        if len(steps) > latency:
+            break
+        # each vertex still inactive is below its threshold, so it is
+        # queued once at most: when its count reaches the threshold
+        for w in newly:
+            for x in adjacency[w]:
+                if not active[x]:
+                    hits[x] += 1
+                    if hits[x] == thresholds[x]:
+                        ready.append(x)
+        if not ready:
+            break
+        newly, ready = ready, []
         for w in newly:
             active[w] = 1
-        for w in newly:
-            for x in graph.adjacency[w]:
-                hits[x] += 1
-        steps.append(frozenset(newly))
-        newly = {
-            x
-            for w in newly
-            for x in graph.adjacency[w]
-            if not active[x] and hits[x] >= thresholds[x]
-        }
     return ActivationTrace(tuple(steps), latency)
 
 

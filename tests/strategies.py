@@ -32,6 +32,24 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
 
 
 @st.composite
+def raw_edge_entries(draw, min_n: int = 1, max_n: int = 8):
+    """A vertex count and edge entries as outside input may give them.
+
+    Each distinct pair may come reversed and more than once, as a tuple
+    or a 2-list, and the entries are shuffled.
+    """
+    n = draw(st.integers(min_n, max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    entries = []
+    for u, v in pairs:
+        for _ in range(draw(st.integers(1, 3))):
+            entry = (v, u) if draw(st.booleans()) else (u, v)
+            entries.append(list(entry) if draw(st.booleans()) else entry)
+    return n, draw(st.permutations(entries))
+
+
+@st.composite
 def cascade_instances(draw, max_n: int = 8):
     """Graph, thresholds (possibly above degree+1), seed set, latency."""
     g = draw(graphs(max_n=max_n))

@@ -786,6 +786,73 @@ class TestCwdWitnesses:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestTreeAndSimulateOutputs:
+    """``solve --method tree`` and ``simulate`` outputs on a seeded corpus, pinned."""
+
+    # sha256 over each run's exit code and stdout without wall_time_s
+    DIGEST = "6a8ce58486a8b4589f7bb9324d8342048d04e6c6bdff93c02bbcb642ac667e9a"
+
+    @staticmethod
+    def corpus():
+        """Trees, forests, unit paths at lambda = n and stars, with raw edge lists.
+
+        Vertex ids are permuted; each edge may come reversed or twice, and
+        the list is shuffled.  Yields each document and a seed list.
+        """
+        rng = random.Random(32)
+        for i in range(32):
+            n = rng.randint(2, 80)
+            family = i % 4
+            if family == 2:  # unit path
+                pairs = [(v, v + 1) for v in range(n - 1)]
+            elif family == 3:  # star
+                pairs = [(0, v) for v in range(1, n)]
+            else:  # a tree, or a forest when some vertices start a new part
+                pairs = [
+                    (rng.randrange(v), v)
+                    for v in range(1, n)
+                    if family == 0 or rng.random() < 0.8
+                ]
+            names = rng.sample(range(n), n)
+            edges = []
+            for u, v in pairs:
+                u, v = names[u], names[v]
+                edges.append([u, v] if rng.random() < 0.5 else [v, u])
+                if rng.random() < 0.2:
+                    edges.append([u, v] if rng.random() < 0.5 else [v, u])
+            rng.shuffle(edges)
+            degree = [0] * n
+            for u, v in pairs:
+                degree[names[u]] += 1
+                degree[names[v]] += 1
+            doc = {
+                "n": n,
+                "edges": edges,
+                "thresholds": (
+                    [1] * n
+                    if family == 2
+                    else [rng.randint(0, d + 2) for d in degree]
+                ),
+                "lambda": n if family == 2 else rng.randint(0, 6),
+                "targets": sorted(rng.sample(range(n), rng.randint(0, n))),
+            }
+            yield doc, sorted(rng.sample(range(n), rng.randint(0, 3)))
+
+    def test_outputs_are_pinned(self, tmp_path):
+        digest = hashlib.sha256()
+        for doc, seed in self.corpus():
+            path = write(tmp_path, doc)
+            for argv in (
+                ["solve", "--method", "tree", "--instance", path],
+                ["simulate", "--instance", path, "--seed", ",".join(map(str, seed))],
+            ):
+                code, out = run_quietly(argv)
+                result = json.loads(out)
+                result.pop("wall_time_s")
+                digest.update(repr((code, json.dumps(result))).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestSolveFuzz:
     """``solve`` on drawn expression instances: one JSON line, exit 0 or 1,
     and the clique-width DP agrees with brute force."""

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
+from latss.cli import _edge_list
 from latss.graphs import (
     Graph,
     Instance,
@@ -21,7 +22,7 @@ from latss.graphs import (
 )
 from latss.oracle import cascade, neighbor_masks
 
-from strategies import cascade_instances, forests, graphs
+from strategies import cascade_instances, forests, graphs, raw_edge_entries
 
 
 class TestGraph:
@@ -56,6 +57,19 @@ class TestGraph:
             for w in g.adjacency[v]:
                 assert v in g.adjacency[w]
             assert g.degree(v) == len(set(g.adjacency[v]))
+
+    @settings(max_examples=200)
+    @given(raw_edge_entries())
+    def test_raw_entries_normalize(self, case):
+        n, entries = case
+        g = Graph(n, entries)
+        assert g.edges == {tuple(sorted(entry)) for entry in entries}
+        nbrs = [set() for _ in range(n)]
+        for u, v in entries:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.adjacency == tuple(tuple(sorted(nb)) for nb in nbrs)
+        assert _edge_list(g) == sorted(map(list, g.edges))
 
 
 class TestRootForest:
@@ -296,11 +310,14 @@ def test_normalization_does_not_change_traces(case):
 @settings(max_examples=200)
 @given(cascade_instances())
 def test_set_and_bitmask_engines_agree(case):
+    # round by round: the printed round sizes come from the rounds, not
+    # from the final set alone
     g, thresholds, seed, latency = case
-    final = simulate(g, thresholds, seed, latency).final
+    trace = simulate(g, thresholds, seed, latency)
     masks = neighbor_masks(g)
     seed_mask = 0
     for v in seed:
         seed_mask |= 1 << v
-    mask = cascade(masks, thresholds, seed_mask, latency)
-    assert final == {v for v in range(g.n) if mask >> v & 1}
+    for i in range(min(latency, g.n + 1) + 1):
+        mask = cascade(masks, thresholds, seed_mask, i)
+        assert trace.active_at(i) == {v for v in range(g.n) if mask >> v & 1}
