@@ -35,7 +35,6 @@ from typing import Any, Sequence
 
 from . import cliquewidth, kexpr, oracle, trees
 from .graphs import (
-    ActivationTrace,
     Graph,
     Instance,
     _check_count,
@@ -119,14 +118,19 @@ def document_to_instance(
     return instance, expression, labeled
 
 
-def _read_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: str) -> Any:
+    try:
+        return json.loads(_read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:
         # a RecursionError is JSON nested deeper than the decoder goes
         raise InstanceError(f"{path} is not readable JSON: {exc}") from exc
@@ -204,9 +208,8 @@ def _result_doc(
     selection: frozenset[int] | None,
     instance: Instance,
     elapsed: float,
-    trace: ActivationTrace | None = None,
 ) -> dict:
-    """The solve result; ``trace``, when given, is the selection's simulation."""
+    """The solve result, with the selection's simulated round sizes."""
     doc: dict[str, Any] = {
         "command": "solve",
         "solver": method,
@@ -218,10 +221,9 @@ def _result_doc(
         "wall_time_s": elapsed,
     }
     if selection is not None:
-        if trace is None:
-            trace = simulate(
-                instance.graph, instance.thresholds, selection, instance.latency
-            )
+        trace = simulate(
+            instance.graph, instance.thresholds, selection, instance.latency
+        )
         doc["round_sizes"] = list(accumulate(map(len, trace.deltas)))
     return doc
 
@@ -240,7 +242,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = graph.n if instance.budget is None else instance.budget
     requirement = instance.requirement or 0
     targets = instance.targets or ()
-    trace = None
     start = time.perf_counter()
 
     if method == "tree":
@@ -277,15 +278,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         selection = solver.select(budget, requirement)
         if selection is not None:
             selection = frozenset(order[v] for v in selection)
-            # the simulation select checked; its round sizes do not
-            # depend on the vertex order
-            trace = solver._trace
 
     elapsed = time.perf_counter() - start
-    _emit(
-        _result_doc(method, variant, selection, instance, elapsed, trace),
-        args.output,
-    )
+    _emit(_result_doc(method, variant, selection, instance, elapsed), args.output)
     return EXIT_OK if selection is not None else EXIT_INFEASIBLE
 
 
@@ -293,13 +288,7 @@ def _kexpr_source(args: argparse.Namespace) -> str:
     if args.expr is not None:
         return args.expr
     if args.file is not None:
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise InstanceError(f"cannot read {args.file}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InstanceError(f"{args.file} is not UTF-8 text: {exc}") from exc
+        return _read_text(args.file)
     doc = _read_json(args.instance)  # argparse requires exactly one source
     if not isinstance(doc, dict) or "kexpr" not in doc:
         raise InstanceError("instance document has no kexpr field")
@@ -463,7 +452,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return _DISPATCH[args.cmd](args)
-    except (InstanceError, kexpr.KExprError, ValueError) as exc:
+    except ValueError as exc:  # InstanceError and KExprError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

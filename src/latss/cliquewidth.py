@@ -80,9 +80,10 @@ R = 0, never builds such a matrix.  Only unsatisfiable queries are cut,
 so every node finds the same first satisfiable alternative as without
 the bound, and witnesses do not change.
 
-Reduction entries are clamped at the largest threshold: any value at or
-above every threshold behaves identically in the activation rule, so
-the clamp merges equivalent queries without changing satisfiability.
+Reductions are not clamped: an edge insertion adds its prefix sums as
+they are.  Only the grid reads stop at the largest threshold ``rcap``,
+as no vertex needs more help: ``_build`` makes each grid rcap + 1
+columns wide, and ``_exceeds_bound`` reads column min(R, rcap).
 
 A solver owns its mutable memo tables; distinct solver instances can
 run concurrently on shared inputs.
@@ -92,12 +93,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
-    ActivationTrace,
     Graph,
     _check_count,
     _vertex_set,
@@ -491,8 +491,6 @@ class CliqueWidthSolver:
         # the DP's node tables, memo and caches, made on its first use (see
         # _build); None until then
         self._memo: list[dict] | None = None
-        # the simulation that checked select's last answer
-        self._trace: ActivationTrace | None = None
 
     # -- expression-tree tables ------------------------------------------
 
@@ -722,12 +720,9 @@ class CliqueWidthSolver:
     def _eta_reductions(self, counts, reds, la, lb):
         # at round i, every vertex of the opposite class active by round
         # i - 1 is a new neighbour: a prefix sum of its counts
-        rcap = self.rcap
         out = list(reds)
         for x, y in ((la, lb), (lb, la)):
-            out[x] = tuple(
-                map(min, map(add, reds[x], accumulate(counts[y])), repeat(rcap))
-            )
+            out[x] = tuple(map(add, reds[x], accumulate(counts[y])))
         return tuple(out)
 
     def _class_splits(self, row, lo, hi):
@@ -906,13 +901,11 @@ class CliqueWidthSolver:
         seeds = self._scan(budget, requirement)
         if seeds is None:
             return None
-        trace = simulate(self.labeled.graph, self.thresholds, seeds, self.latency)
-        final = trace.final
+        final = simulate(self.labeled.graph, self.thresholds, seeds, self.latency).final
         if len(seeds) > budget or len(final) < requirement or not self.targets <= final:
             raise AssertionError(
                 "the selected seeds miss the budget, the requirement or a target"
             )
-        self._trace = trace
         return seeds
 
     def reconstruct(

@@ -145,12 +145,12 @@ def is_tree(graph: Graph) -> bool:
     return (
         graph.n >= 1
         and len(graph.edges) == graph.n - 1
-        and len(connected_components(graph)) == 1
+        and len(_breadth_first(graph)[2]) == 1
     )
 
 
 def is_forest(graph: Graph) -> bool:
-    return len(graph.edges) == graph.n - len(connected_components(graph))
+    return len(graph.edges) == graph.n - len(_breadth_first(graph)[2])
 
 
 def _forest_search(

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -926,7 +927,9 @@ class TestForestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(forests(max_n=7), st.data())
     def test_cwd_agrees_with_tree(self, tmp_path_factory, forest, data):
-        # without a kexpr, cwd solves the union of the trees' expressions
+        # without a kexpr, cwd solves the union of the trees' expressions,
+        # whose evaluation permutes the vertex ids; the round sizes printed
+        # are those of the chosen seeds on the instance's own ids
         n = forest.n
         doc = {
             "n": n,
@@ -945,9 +948,11 @@ class TestForestFuzz:
                 ["solve", "--method", method, "--instance", str(path)]
             )
             assert code == 0
-            chosen = json.loads(out)["target_set"]
-            final = simulate(forest, doc["thresholds"], chosen, doc["lambda"]).final
-            assert set(doc["targets"]) <= final
+            result = json.loads(out)
+            chosen = result["target_set"]
+            trace = simulate(forest, doc["thresholds"], chosen, min(doc["lambda"], n))
+            assert set(doc["targets"]) <= trace.final
+            assert result["round_sizes"] == list(accumulate(map(len, trace.deltas)))
             sizes.append(len(chosen))
         assert sizes[0] == sizes[1]
 

@@ -695,6 +695,62 @@ class TestThresholdBound:
         mapped = [frozenset(to_local[v] for v in stage) for stage in process]
         assert verify_schedule(local, local_thr, counts, reds, mapped)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        expressions(max_labels=3, max_leaves=6, min_leaves=2).filter(
+            lambda e: not check_irredundant(e)
+        ),
+        st.data(),
+    )
+    def test_reductions_far_above_rcap(self, expr, data):
+        # an eta adds unclamped prefix sums, so the DP's reductions pass
+        # rcap: a root query answers as with each entry clamped at rcap,
+        # and every witnessed entry, at every node, reconstructs to a
+        # process of its query
+        graph = evaluate(expr).graph
+        thr = tuple(
+            data.draw(st.integers(0, graph.degree(v) + 1)) for v in range(graph.n)
+        )
+        lam = data.draw(st.integers(1, 3))
+        solver = CliqueWidthSolver(expr, thr, lam)
+        rcap, labels = solver.rcap, solver.labeled.labels
+        reds = tuple(
+            tuple(data.draw(st.integers(0, 3 * rcap + 3)) for _ in range(lam))
+            for _ in range(solver.k)
+        )
+        # the counts of a process of the reduced-threshold rule, sometimes
+        # with one activation moved to another round
+        active = set(data.draw(st.sets(st.integers(0, graph.n - 1))))
+        fresh = [set(active)]
+        for i in range(lam):
+            fresh.append(
+                {
+                    u
+                    for u in range(graph.n)
+                    if u not in active
+                    and len(active.intersection(graph.adjacency[u]))
+                    >= thr[u] - reds[labels[u] - 1][i]
+                }
+            )
+            active |= fresh[-1]
+        counts = [
+            [sum(labels[u] == lab for u in stage) for stage in fresh]
+            for lab in range(1, solver.k + 1)
+        ]
+        if any(map(any, counts)) and data.draw(st.booleans()):
+            row = data.draw(st.sampled_from([row for row in counts if any(row)]))
+            row[data.draw(st.sampled_from([i for i, x in enumerate(row) if x]))] -= 1
+            row[data.draw(st.integers(0, lam))] += 1
+        counts = tuple(map(tuple, counts))
+        clamped = tuple(tuple(min(x, rcap) for x in row) for row in reds)
+        answer = solver.query(counts, reds)
+        assert answer == CliqueWidthSolver(expr, thr, lam).query(counts, clamped)
+        for node, node_counts, node_reds in solver.witnessed_entries():
+            local, local_thr, to_local = solver.subgraph(node)
+            process = solver.reconstruct(node_counts, node_reds, node)
+            mapped = [frozenset(to_local[v] for v in stage) for stage in process]
+            assert verify_schedule(local, local_thr, node_counts, node_reds, mapped)
+
     def test_exceeds_bound_matches_a_plain_reference(self):
         # every class and every round i >= 1, with no shortcut: rounds
         # 1..i fire more than the grid allows at A(i-1) active vertices
