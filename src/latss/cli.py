@@ -345,8 +345,7 @@ def _cmd_kexpr(args: argparse.Namespace) -> int:
         )
         return EXIT_OK if not violations else EXIT_INFEASIBLE
     # lift
-    names = set(args.targets.split(",")) if args.targets else set()
-    names.discard("")
+    names = {piece.strip() for piece in (args.targets or "").split(",")} - {""}
     lifted = kexpr.lift_targets(expression, names)
     _emit(
         {
@@ -376,19 +375,21 @@ def _instance_doc_from_expression(
     }
 
 
+# gen's families, each an expression of n vertices drawn with a Random; each
+# builder is looked up on kexpr when it runs, as perfbench/tracing.py rebinds it
+_FAMILIES = {
+    "path": lambda n, rng: kexpr.path_expression(n),
+    "star": lambda n, rng: kexpr.star_expression(n),
+    "random-tree": lambda n, rng: kexpr.tree_expression(random_tree(n, rng)),
+    "cograph": lambda n, rng: kexpr.cograph_expression(n, rng),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.latency is not None:
         _check_count(args.latency, "latency")
-    rng = Random(args.seed)
-    # built per call, so each builder is looked up on kexpr when it runs
-    build = {
-        "path": lambda: kexpr.path_expression(args.n),
-        "star": lambda: kexpr.star_expression(args.n),
-        "random-tree": lambda: kexpr.tree_expression(random_tree(args.n, rng)),
-        "cograph": lambda: kexpr.cograph_expression(args.n, rng),
-    }[args.family]
-    doc = _instance_doc_from_expression(build(), args.latency)
-    _emit(doc, args.output)
+    expression = _FAMILIES[args.family](args.n, Random(args.seed))
+    _emit(_instance_doc_from_expression(expression, args.latency), args.output)
     return EXIT_OK
 
 
@@ -407,12 +408,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--instance", required=True)
     p_sim.add_argument("--seed", required=True, help="comma-separated vertex ids")
     p_sim.add_argument("--output")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_solve = sub.add_parser("solve", help="solve an instance")
     p_solve.add_argument("--method", required=True, choices=["tree", "cwd", "brute"])
     p_solve.add_argument("--variant", choices=["lba", "lbA", "lA"])
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--output")
+    p_solve.set_defaults(handler=_cmd_solve)
 
     p_k = sub.add_parser("kexpr", help="construction-expression tools")
     p_k.add_argument("action", choices=["parse", "eval", "check", "lift"])
@@ -422,25 +425,20 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--instance")
     p_k.add_argument("--targets", help="comma-separated vertex names (lift)")
     p_k.add_argument("--output")
+    p_k.set_defaults(handler=_cmd_kexpr)
 
     p_gen = sub.add_parser("gen", help="generate instance documents")
-    p_gen.add_argument("family", choices=["path", "star", "random-tree", "cograph"])
+    p_gen.add_argument("family", choices=_FAMILIES)
     p_gen.add_argument("--n", type=int, default=8)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--latency", type=int)
     p_gen.add_argument("--output")
+    p_gen.set_defaults(handler=_cmd_gen)
 
     return parser
 
 
 _PARSER = _build_parser()
-
-_DISPATCH = {
-    "simulate": _cmd_simulate,
-    "solve": _cmd_solve,
-    "kexpr": _cmd_kexpr,
-    "gen": _cmd_gen,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -451,7 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.handler(args)
     except ValueError as exc:  # InstanceError and KExprError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

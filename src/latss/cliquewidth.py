@@ -25,9 +25,11 @@ class total lies between those two bounds: ``query`` and ``reconstruct``
 check it on entry, and the union and rename splits and the root scan
 make no other query.  Because the targets never change, one memo serves
 every budget and requirement asked of a solver.  The width k counts the
-labels in use, which the constructor renumbers 1..k in order.  A
-satisfiable entry's witness is the child queries that proved it; a
-leaf's is ``(round,)``, the round it fires or None.
+labels in use, which one map takes to their classes, 1..k in label
+order: the node tables read classes through it, and ``labeled`` and
+``subgraph`` give classes as labels.  A satisfiable entry's witness is
+the child queries that proved it; a leaf's is ``(round,)``, the round it
+fires or None.
 
 Satisfiability is evaluated top-down over the four node kinds with
 per-node memoization and an explicit stack, so deep expressions do not
@@ -63,7 +65,7 @@ graphs at a large latency one seed often suffices, and the search never
 runs.  The constructor walks the expression once, in the checked
 pass that gives the width, the well-formedness verdict and the node
 order, and evaluates from that pass's node list unless the caller passes
-the evaluation it made; renumbered labels are mapped onto it.
+the evaluation it made.  It keeps the caller's nodes as they are.
 
 Every node bounds each round i >= 1 by the thresholds.  In the node's
 subgraph H, a class-l vertex v that is not a seed and fires by round i
@@ -248,12 +250,12 @@ def _layers(
     yield frontier
 
 
-def _dense_labels(
-    post: list[KExpr], k: int
-) -> tuple[list[KExpr], int, dict[int, int] | None]:
-    """Relabel a post-order node list of width k to use labels 1..k', in order.
+def _label_classes(post: list[KExpr], k: int) -> tuple[int, range | dict[int, int]]:
+    """How many labels a post-order node list of width k uses, and each one's class.
 
-    Also gives the old-to-new label map, None when the labels are dense.
+    Classes number the labels in use 0, 1, ..., in order.  The map is
+    indexed by label; when the labels are dense it is ``range(-1, k)``,
+    each label less one.
     """
     used: set[int] = set()
     for node in post:
@@ -262,17 +264,8 @@ def _dense_labels(
         elif not isinstance(node, Union):
             used.update((node.a, node.b))
         if len(used) == k:  # already dense, mostly seen within a few nodes
-            return post, k, None
-    rank = {label: i for i, label in enumerate(sorted(used), 1)}
-    new: dict[int, KExpr] = {}  # by id of the node replaced, in post-order
-    for node in post:
-        if isinstance(node, Leaf):
-            new[id(node)] = Leaf(rank[node.label], node.name)
-        elif isinstance(node, Union):
-            new[id(node)] = Union(new[id(node.left)], new[id(node.right)])
-        else:
-            new[id(node)] = type(node)(rank[node.a], rank[node.b], new[id(node.child)])
-    return [*new.values()], len(used), rank
+            return k, range(-1, k)
+    return len(used), {label: i for i, label in enumerate(sorted(used))}
 
 
 class _Bounds:
@@ -473,10 +466,8 @@ class CliqueWidthSolver:
         post, width = _checked_postorder(expr)
         if _labeled is None:
             _labeled = _labeled_graph(post)
-        post, self.k, rank = _dense_labels(post, width)
-        if rank is not None:
-            _labeled = replace(_labeled, labels=tuple(rank[l] for l in _labeled.labels))
-        self.labeled = _labeled
+        self.k, self._classes = _label_classes(post, width)
+        self.labeled = _labeled = self._renumbered(_labeled)
         if _labeled.violations:
             raise IrredundancyError(list(_labeled.violations))
         _check_count(latency, "latency")
@@ -492,6 +483,13 @@ class CliqueWidthSolver:
         # _build); None until then
         self._memo: list[dict] | None = None
 
+    def _renumbered(self, labeled: LabeledGraph) -> LabeledGraph:
+        """``labeled`` with each label replaced by its class, numbered 1..k."""
+        classes = self._classes
+        if type(classes) is range:  # dense: each label is its class already
+            return labeled
+        return replace(labeled, labels=tuple(classes[l] + 1 for l in labeled.labels))
+
     # -- expression-tree tables ------------------------------------------
 
     def _build(self) -> None:
@@ -503,7 +501,7 @@ class CliqueWidthSolver:
         """
         if self._memo is not None:
             return
-        k = self.k
+        k, classes = self.k, self._classes
         info: list[tuple] = []
         label_counts: list[tuple[int, ...]] = []
         target_counts: list[tuple[int, ...]] = []
@@ -516,8 +514,9 @@ class CliqueWidthSolver:
         vid = 0  # evaluated ids follow the leaves' post-order
         for idx, node in enumerate(self._nodes):
             if isinstance(node, Leaf):
-                info.append((vid, node.label - 1))
-                one_hot = tuple(int(l == node.label - 1) for l in range(k))
+                cls = classes[node.label]
+                info.append((vid, cls))
+                one_hot = tuple(int(l == cls) for l in range(k))
                 label_counts.append(one_hot)
                 target_counts.append(one_hot if vid in self.targets else (0,) * k)
                 t = self.thresholds[vid]
@@ -534,7 +533,7 @@ class CliqueWidthSolver:
                 bounds.append(tuple(map(_pooled, bounds[left], bounds[right], *sizes)))
             elif isinstance(node, Eta):
                 child = stack.pop()
-                a, b = node.a - 1, node.b - 1
+                a, b = classes[node.a], classes[node.b]
                 info.append((child, a, b))
                 sizes = label_counts[child]
                 label_counts.append(sizes)
@@ -547,7 +546,7 @@ class CliqueWidthSolver:
                 bounds.append(tuple(grids))
             else:
                 child = stack.pop()
-                la, lb = node.a - 1, node.b - 1
+                la, lb = classes[node.a], classes[node.b]
                 info.append((child, la, lb))
                 sizes = label_counts[child]
                 label_counts.append(_rename(sizes, la, lb))
@@ -579,7 +578,7 @@ class CliqueWidthSolver:
     ) -> tuple[LabeledGraph, tuple[int, ...], dict[int, int]]:
         """Labeled subgraph at a node, its thresholds, and a global->local id map."""
         self._check_node(node)
-        local = evaluate(self._nodes[node])
+        local = self._renumbered(evaluate(self._nodes[node]))
         to_global = {name: v for v, name in enumerate(self.labeled.names)}
         locals_thr = tuple(self.thresholds[to_global[name]] for name in local.names)
         to_local = {to_global[name]: i for i, name in enumerate(local.names)}

@@ -14,7 +14,10 @@ the DP reports the tally before and after it; from the repository root,
 
     PYTHONPATH=src python tests/dp_corpus.py
 
-runs the whole corpus and prints the three.
+runs the whole corpus and prints the three.  The memo entries and root
+queries are for reading, as a DP change may move them; the digest is
+checked against ``DIGEST``, and when it moves the script prints both
+digests and exits 1.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ ROWS = (
 )
 PER_ROW = 6
 SEED = 7
+# the answer digest of the whole corpus; no DP change may move it
+DIGEST = "6179f7f95a04ce7537ad1d2a35091c8f279ccb852b148d5f8beb42cb06a23241"
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,9 @@ def main() -> int:
     print(f"memo entries {entries}")
     print(f"root queries {roots}")
     print(f"answer digest {digest}")
+    if digest != DIGEST:
+        print(f"answer digest moved: expected {DIGEST}, got {digest}")
+        return 1
     return 0
 
 

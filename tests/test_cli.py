@@ -1082,6 +1082,14 @@ class TestKexprCommand:
         )
         assert code == 0 and doc["width"] == 4
 
+    def test_lift_strips_blanks_around_target_names(self):
+        # as simulate --seed does: "u, v" names u and v, empty pieces name none
+        lift = ["kexpr", "lift", "--expr", "eta(2,1, U(2(v), 1(u)))", "--targets"]
+        tight = run_captured([*lift, "u,v"])
+        assert tight[0] == 0
+        for spaced in (" u, v ", "u ,v,", ", u,,\tv"):
+            assert run_captured([*lift, spaced]) == tight
+
     def test_instance_source(self, capsys, tmp_path):
         doc = {
             "n": 2,

@@ -83,6 +83,21 @@ class TestVerifySchedule:
         lg = evaluate(parse("1(u)"))
         assert not verify_schedule(lg, (1,), ((0, 0),), ((1,),), [set(), set()])
 
+    def test_one_round_seed_outside_the_graph_fails(self):
+        # with one round, no later round's nesting check sees the seed
+        lg = evaluate(parse("1(u)"))
+        assert not verify_schedule(lg, (1,), ((0,),), ((),), [{5}])
+
+    def test_seed_round_count_off_by_class_fails(self):
+        lg = evaluate(parse("1(u)"))
+        assert not verify_schedule(lg, (1,), ((0, 0),), ((0,),), [{0}, {0}])
+
+    def test_later_round_count_off_while_the_rule_holds_fails(self):
+        # u fires at round 1 by the reduced threshold, but the counts say not
+        lg = evaluate(parse("1(u)"))
+        assert verify_schedule(lg, (1,), ((0, 1),), ((1,),), [set(), {0}])
+        assert not verify_schedule(lg, (1,), ((0, 0),), ((1,),), [set(), {0}])
+
     def test_non_monotone_process_fails(self):
         lg = evaluate(parse("U(1(u), 1(v))"))
         counts = ((1, 0), (0, 0))

@@ -1,8 +1,9 @@
 """The DP work corpus: its draw, its tally, and its answers against references.
 
-The whole corpus runs on request (``python tests/dp_corpus.py``); here a
-seeded pick of one instance per row keeps the run short.  No count is
-pinned: a DP change may move the tally, never an answer.
+The whole corpus runs on request (``python tests/dp_corpus.py``), which
+checks its answer digest; here a seeded pick of one instance per row
+keeps the run short.  No count is pinned: a DP change may move the
+tally, never an answer.
 """
 
 import random
@@ -11,6 +12,7 @@ from latss import trees
 from latss.cliquewidth import CliqueWidthSolver
 from latss.oracle import brute_select
 
+import dp_corpus
 from dp_corpus import PER_ROW, ROWS, ask, draw_corpus, tally
 
 CASES = draw_corpus()
@@ -53,3 +55,13 @@ def test_tally_counts_the_memo_and_is_repeatable():
     assert entries > roots > 0
     assert len(digest) == 64
     assert tally(cographs) == (entries, roots, digest)
+
+
+def test_main_exits_one_when_the_digest_moves(monkeypatch, capsys):
+    monkeypatch.setattr(dp_corpus, "draw_corpus", lambda: [])
+    for digest, code in ((dp_corpus.DIGEST, 0), ("0" * 64, 1)):
+        monkeypatch.setattr(dp_corpus, "tally", lambda cases: (5, 2, digest))
+        assert dp_corpus.main() == code
+        out = capsys.readouterr().out
+        assert out.startswith("memo entries 5\nroot queries 2\n")
+        assert (dp_corpus.DIGEST in out and "0" * 64 in out) == bool(code)

@@ -43,6 +43,15 @@ class TestGraph:
     def test_equality_is_structural(self):
         assert Graph(2, [(0, 1)]) == Graph(2, [(1, 0)])
         assert Graph(2, [(0, 1)]) != Graph(3, [(0, 1)])
+        # reversed or repeated pairs hash alike too
+        plain = Graph(3, [(0, 1), (1, 2)])
+        for edges in ([(1, 0), (2, 1)], [(0, 1), (1, 0), (1, 2), (1, 2)]):
+            assert hash(Graph(3, edges)) == hash(plain)
+        assert len({plain, Graph(3, [(2, 1), (0, 1), (1, 0)])}) == 1
+
+    def test_repr_gives_the_vertex_and_edge_counts(self):
+        assert repr(Graph(3, [(0, 1), (1, 0), (1, 2)])) == "Graph(n=3, m=2)"
+        assert repr(Graph(0)) == "Graph(n=0, m=0)"
 
     def test_classifiers(self):
         assert is_tree(path_graph(4))
