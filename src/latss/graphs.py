@@ -5,7 +5,9 @@ mapped at the I/O boundary.  A cascade starts from a seed set and at
 every round activates each vertex whose number of already-active
 neighbours reaches its threshold.  All types are immutable after
 construction and every function is pure, so shared instances are safe
-to use from multiple threads.
+to use from multiple threads.  The one value set later is a cache: a
+``Graph`` built from adjacency lists derives its ``edges`` set on first
+read, and threads that race to derive it store equal sets.
 
 Input checks live here alone: ``Graph`` checks its edges, and every engine
 checks vertex ids, thresholds, latencies, budgets and requirements with
@@ -19,22 +21,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from random import Random
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
-    Edges are normalized to sorted pairs and deduplicated; adjacency
-    lists are derived once at construction.  Entries other than two
-    ints, self-loops and out-of-range endpoints are rejected.  The
-    checking loop lists the normalized pairs, and they are hashed once,
-    into ``edges``; the adjacency lists are filled from that list (from
-    ``edges`` when the input repeated a pair) and each list with more
-    than one neighbour is sorted in place.
+    ``adjacency[v]`` lists v's neighbours in increasing order, each
+    once, so ``(n, adjacency)`` is canonical: equality and hashing read
+    it.  The checking constructor rejects entries other than two ints,
+    self-loops and out-of-range endpoints; its loop lists the normalized
+    pairs, they are hashed once, and the adjacency lists are filled from
+    that list (from the hashed set when the input repeated a pair).
+    ``edges``, the set of pairs ``(u, v)`` with ``u < v``, is derived:
+    the checking constructor keeps the set it hashed, and a graph built
+    from adjacency lists, as evaluation builds one, makes it on first
+    read and keeps it.  Each adjacency list with more than one neighbour
+    is sorted in place.
     """
 
-    __slots__ = ("n", "edges", "adjacency")
+    __slots__ = ("n", "adjacency", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if type(n) is not int or n < 0:
@@ -52,32 +58,49 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             pairs.append((u, v) if u < v else (v, u))
-        self._fill(n, pairs)
-
-    @classmethod
-    def _from_normalized(cls, n: int, edges: set[tuple[int, int]]) -> "Graph":
-        """A graph from pairs ``(u, v)`` with ``0 <= u < v < n``, taken unchecked.
-
-        For edge sets this package builds itself; outside input goes
-        through the checking constructor.
-        """
-        graph = cls.__new__(cls)
-        graph._fill(n, edges)
-        return graph
-
-    def _fill(self, n: int, pairs: Collection[tuple[int, int]]) -> None:
-        self.n: int = n
-        self.edges: frozenset[tuple[int, int]] = frozenset(pairs)
-        if len(self.edges) != len(pairs):  # the input repeated a pair
-            pairs = self.edges
+        edge_set = frozenset(pairs)
+        if len(edge_set) != len(pairs):  # the input repeated a pair
+            pairs = edge_set
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
+        self._store(adj, edge_set)
+
+    @classmethod
+    def _from_adjacency(cls, adj: list[list[int]]) -> "Graph":
+        """The graph where vertex v has the neighbours ``adj[v]``, taken unchecked.
+
+        The lists must be symmetric, loop-free and free of repeats; they
+        are sorted in place.  For adjacency this package builds itself;
+        outside input goes through the checking constructor.
+        """
+        graph = cls.__new__(cls)
+        graph._store(adj, None)
+        return graph
+
+    def _store(
+        self, adj: list[list[int]], edges: frozenset[tuple[int, int]] | None
+    ) -> None:
         for nb in adj:
             if len(nb) > 1:
                 nb.sort()
+        self.n: int = len(adj)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._edges = edges
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        # two threads may both derive the set; they store equal values
+        if self._edges is None:
+            self._edges = _edge_set(self.adjacency)
+        return self._edges
+
+    def _edge_count(self) -> int:
+        """``len(self.edges)``, without deriving the set."""
+        if self._edges is None:
+            return sum(map(len, self.adjacency)) // 2
+        return len(self._edges)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -86,14 +109,19 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adjacency == other.adjacency
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self._edge_count()})"
+
+
+def _edge_set(adjacency: Sequence[Sequence[int]]) -> frozenset[tuple[int, int]]:
+    """The pairs ``(u, v)`` with ``u < v`` that sorted adjacency lists hold."""
+    return frozenset((u, v) for u, nb in enumerate(adjacency) for v in nb if v > u)
 
 
 def _breadth_first(
@@ -144,13 +172,13 @@ def connected_components(graph: Graph) -> list[list[int]]:
 def is_tree(graph: Graph) -> bool:
     return (
         graph.n >= 1
-        and len(graph.edges) == graph.n - 1
+        and graph._edge_count() == graph.n - 1
         and len(_breadth_first(graph)[2]) == 1
     )
 
 
 def is_forest(graph: Graph) -> bool:
-    return len(graph.edges) == graph.n - len(_breadth_first(graph)[2])
+    return graph._edge_count() == graph.n - len(_breadth_first(graph)[2])
 
 
 def _forest_search(
@@ -159,7 +187,7 @@ def _forest_search(
     """:func:`_breadth_first` of a forest; ValueError when the graph has a cycle."""
     search = _breadth_first(graph)
     # a forest has exactly one edge fewer than vertices per component
-    if len(graph.edges) != graph.n - len(search[2]):
+    if graph._edge_count() != graph.n - len(search[2]):
         raise ValueError("input graph has a cycle")
     return search
 

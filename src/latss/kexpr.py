@@ -37,12 +37,16 @@ one by one as it needs them, checks each construct once, token by token
 in reading order, and works out a line and column only when it raises.
 One checked post-order pass holds every well-formedness check;
 :func:`evaluate`, :func:`check_irredundant` and
-:func:`normalize_irredundant` are one loop over its node list,
-near-linear in the expression size plus the edges produced, and refuse
-a malformed tree as :func:`validate` does.  A root
-path is read off the list only for an insertion that violates.  The
-clique-width solver builds its node table and its evaluation from that
-list too, so it walks an expression once.
+:func:`normalize_irredundant` are one loop over its node list, and
+refuse a malformed tree as :func:`validate` does.  The loop works on
+whole label classes: an insertion makes one ``isdisjoint`` test per
+vertex of its smaller class and, when no edge joins the two classes,
+extends each vertex's adjacency list by the whole other class, so the
+Python work goes with the class sizes, not the vertex pairs, and
+builtins copy the edges.  Only a violating insertion walks its pairs,
+and a root path is read off the list only for it.  The clique-width
+solver builds its node table and its evaluation from that list too, so
+it walks an expression once.
 """
 
 from __future__ import annotations
@@ -601,19 +605,25 @@ class LabeledGraph:
 
 
 def _evaluate(post: list[KExpr]):
-    """Leaf names, edge set, root label classes and verdicts of a checked node list.
+    """Leaf names, adjacency lists, root classes and verdicts of a checked node list.
 
     Keeps the label classes of the subgraph built so far: each label maps
     to its vertex ids, which count leaves in list order; unions and
-    renames merge the smaller class into the larger, so the loop is
-    near-linear in the expression size plus the edges it produces.
-    Besides the violations it returns ``idle``, the ids of the etas that
-    add no edge (a checked tree holds each node once, since every node
-    has a leaf below it), and ``partial``, the ``(path, a, b)`` of the
-    first eta that adds some edges while re-covering others, or None.
+    renames merge the smaller class into the larger.  An insertion works
+    on whole classes: one ``isdisjoint`` call per vertex of the smaller
+    class, against a set of the larger, tells whether an edge already
+    joins them, and if none does, each vertex's adjacency list is
+    extended by the whole other class.  Only a violating insertion walks
+    its vertex pairs, u of class a before v of class b, naming the first
+    pair that is already an edge and adding only the missing ones, so
+    the lists, returned unsorted, hold no repeats.  Besides the
+    violations it returns ``idle``, the ids of the etas that add no edge
+    (a checked tree holds each node once, since every node has a leaf
+    below it), and ``partial``, the ``(path, a, b)`` of the first eta
+    that adds some edges while re-covering others, or None.
     """
     names: list[str] = []
-    edges: set[tuple[int, int]] = set()
+    adj: list[list[int]] = []  # each vertex's neighbours so far
     found: list[tuple] = []  # (index, a, b, offending pair, added) of violating etas
     idle: set[int] = set()
     vals: list[dict[int, list[int]]] = []  # classes of the finished subtrees
@@ -622,6 +632,7 @@ def _evaluate(post: list[KExpr]):
         if cls is Leaf:
             vals.append({node.label: [len(names)]})
             names.append(node.name)
+            adj.append([])
         elif cls is Union:
             right = vals.pop()
             left = vals[-1]
@@ -644,23 +655,39 @@ def _evaluate(post: list[KExpr]):
         else:
             a, b = node.a, node.b
             top = vals[-1]
-            before = len(edges)
+            us, vs = top.get(a), top.get(b)  # a class is never empty, but may be missing
+            if us is None or vs is None:
+                idle.add(id(node))
+                continue
+            small, large = (us, vs) if len(us) <= len(vs) else (vs, us)
+            if len(large) == 1:  # then small has one vertex too
+                joined = large[0] in adj[small[0]]
+            else:
+                cover = set(large)
+                joined = not all(map(cover.isdisjoint, map(adj.__getitem__, small)))
+            if not joined:
+                for u in us:
+                    adj[u] += vs
+                for v in vs:
+                    adj[v] += us
+                continue
             offending: tuple[str, str] | None = None
-            for u in top.get(a, ()):
-                for v in top.get(b, ()):
-                    key = (u, v) if u < v else (v, u)
-                    if key in edges:
+            added = False
+            for u in us:
+                near = set(adj[u])
+                for v in vs:
+                    if v in near:
                         if offending is None:
                             offending = (names[u], names[v])
                     else:
-                        edges.add(key)
-            added = len(edges) != before
+                        adj[u].append(v)
+                        adj[v].append(u)
+                        added = True
             if not added:
                 idle.add(id(node))
-            if offending is not None:
-                found.append((i, a, b, offending, added))
+            found.append((i, a, b, offending, added))
     violations, partial = _violations(post, found)
-    return names, edges, vals[0], violations, idle, partial
+    return names, adj, vals[0], violations, idle, partial
 
 
 def _violations(post: list[KExpr], found: list[tuple]):
@@ -696,13 +723,13 @@ def _violations(post: list[KExpr], found: list[tuple]):
 
 def _labeled_graph(post: list[KExpr]) -> LabeledGraph:
     """:func:`evaluate` of a checked post-order node list."""
-    names, edges, classes, violations, _, _ = _evaluate(post)
+    names, adj, classes, violations, _, _ = _evaluate(post)
     labels = [0] * len(names)
     for lab, ids in classes.items():
         for v in ids:
             labels[v] = lab
-    # the loop's pairs are normalized, in range and loop-free: no re-check
-    graph = Graph._from_normalized(len(names), edges)
+    # the loop's lists are symmetric, loop-free and free of repeats: no re-check
+    graph = Graph._from_adjacency(adj)
     return LabeledGraph(graph, tuple(labels), tuple(names), tuple(violations))
 
 
@@ -710,8 +737,9 @@ def evaluate(expr: KExpr) -> LabeledGraph:
     """Build the labeled graph an expression denotes, noting redundant insertions.
 
     Raises as :func:`validate` does.  Reads the checked pass's node list
-    once, near-linear in the expression size plus the number of produced
-    edges.
+    once; an insertion costs Python work per vertex of its two label
+    classes, and builtins copy the edges it adds.  The graph is built
+    from the adjacency lists, so its ``edges`` set is made only if read.
     """
     return _labeled_graph(_checked_postorder(expr)[0])
 
@@ -721,10 +749,10 @@ def check_irredundant(expr: KExpr) -> list[IrredundancyViolation]:
 
     Empty iff, before each ``eta(a,b, ...)``, the child graph has no
     edge between an a-labeled and a b-labeled vertex — exactly the
-    precondition the clique-width solver needs.  Each violation's
-    ``path`` is built only when its eta violates, so the check is linear
-    in the expression size plus the number of edges.  Raises as
-    :func:`validate` does.
+    precondition the clique-width solver needs.  Each insertion is
+    tested with one ``isdisjoint`` call per vertex of its smaller class;
+    only a violating one walks its vertex pairs, and its ``path`` is
+    built only then.  Raises as :func:`validate` does.
     """
     return _evaluate(_checked_postorder(expr)[0])[3]
 

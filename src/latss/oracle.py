@@ -25,10 +25,12 @@ DEFAULT_LIMIT = 20
 
 
 def neighbor_masks(graph: Graph) -> list[int]:
-    masks = [0] * graph.n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = []
+    for nb in graph.adjacency:
+        mask = 0
+        for w in nb:
+            mask |= 1 << w
+        masks.append(mask)
     return masks
 
 

@@ -135,6 +135,27 @@ def random_expression(rng: random.Random, max_vertices: int = 6, k: int = 3):
             continue
 
 
+def repeated_etas(rng: random.Random, leaves: int, k: int = 3):
+    """A random width-``k`` tree whose insertions are often applied twice.
+
+    Unions join the parts; each may gain up to three insertions or
+    renames, and an insertion is often followed by its reverse, so many
+    trees hold redundant or partially redundant insertions.  Leaves are
+    named by their index, not by their evaluated vertex id.
+    """
+    labels = range(1, k + 1)
+    items = [Leaf(rng.randint(1, k), str(i)) for i in range(leaves)]
+    while len(items) > 1:
+        merged = Union(items.pop(rng.randrange(len(items))), items.pop())
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(labels, 2)
+            merged = rng.choice((Eta, Eta, Rho))(a, b, merged)
+            if type(merged) is Eta and rng.random() < 0.4:
+                merged = Eta(b, a, merged)
+        items.append(merged)
+    return items[0]
+
+
 def relabeled(graph: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
     """The graph with its vertex ids shuffled, and the old id of each new one."""
     old = list(range(graph.n))

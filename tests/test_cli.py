@@ -36,7 +36,7 @@ from latss.kexpr import (
     unparse,
 )
 
-from strategies import expressions, forests, graphs, random_expression
+from strategies import expressions, forests, graphs, random_expression, repeated_etas
 
 
 def run(capsys, argv):
@@ -851,6 +851,57 @@ class TestTreeAndSimulateOutputs:
                 result = json.loads(out)
                 result.pop("wall_time_s")
                 digest.update(repr((code, json.dumps(result))).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestKexprEvalAndCheckOutputs:
+    """``kexpr eval`` and ``kexpr check`` outputs on a seeded corpus, pinned."""
+
+    # sha256 over each run's exit code and stdout, recorded when evaluation
+    # still stored and checked the graph one vertex pair at a time
+    DIGEST = "2ff371e77d96c165cc3d65f0adf712f21c6cfc7e65622b6aca44049cecbff543"
+
+    # a repeated insertion, a partially redundant one, insertions on an
+    # empty class and renames onto an empty and a non-empty label
+    TEXTS = (
+        "eta(2,1, eta(2,1, U(2(v), 1(u))))",
+        "eta(1,2, U(eta(1,2, U(1(u), 2(v))), 2(w)))",
+        "eta(1,3, eta(3,2, U(1(a), 2(b))))",
+        "eta(2,1, rho(1->4, eta(1,2, U(1(a), 2(b)))))",
+        "eta(4,2, rho(3->2, eta(3,2, U(U(3(a), 2(b)), 4(c)))))",
+    )
+
+    @staticmethod
+    def sources(tmp_path):
+        """Each run's source: gen documents, then hand-built and drawn texts.
+
+        The documents are cographs of 30-200 vertices, random trees and
+        paths, read through ``--instance``; the drawn texts are width-4
+        trees whose insertions often repeat.
+        """
+        rng = random.Random(35)
+        for i in range(12):
+            family = ("cograph", "random-tree", "path")[i % 3]
+            path = str(tmp_path / f"gen{i}.json")
+            argv = ["gen", family, "--n", str(rng.randint(30, 200))]
+            argv += ["--seed", str(rng.randrange(1000)), "--output", path]
+            assert main(argv) == 0
+            yield ["--instance", path]
+        for text in TestKexprEvalAndCheckOutputs.TEXTS:
+            yield ["--expr", text]
+        for _ in range(60):
+            expr = repeated_etas(rng, rng.randint(1, 12), k=4)
+            yield ["--expr", unparse(expr)]
+
+    def test_outputs_are_pinned(self, tmp_path):
+        digest = hashlib.sha256()
+        codes = set()
+        for source in self.sources(tmp_path):
+            for action in ("eval", "check"):
+                code, out = run_quietly(["kexpr", action, *source])
+                digest.update(repr((code, out)).encode())
+                codes.add((action, code))
+        assert codes == {("eval", 0), ("check", 0), ("check", 1)}
         assert digest.hexdigest() == self.DIGEST
 
 

@@ -5,7 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from latss.cli import _edge_list
+from latss import graphs as graphs_module
+from latss.cli import _edge_list, main
 from latss.graphs import (
     Graph,
     Instance,
@@ -20,9 +21,16 @@ from latss.graphs import (
     star_graph,
     verify_solution,
 )
+from latss.kexpr import evaluate, tree_expression
 from latss.oracle import cascade, neighbor_masks
 
-from strategies import cascade_instances, forests, graphs, raw_edge_entries
+from strategies import (
+    cascade_instances,
+    expressions,
+    forests,
+    graphs,
+    raw_edge_entries,
+)
 
 
 class TestGraph:
@@ -79,6 +87,49 @@ class TestGraph:
             nbrs[v].add(u)
         assert g.adjacency == tuple(tuple(sorted(nb)) for nb in nbrs)
         assert _edge_list(g) == sorted(map(list, g.edges))
+
+
+class TestEvaluatedGraph:
+    """A graph that evaluation builds from adjacency lists, against ``Graph(n, edges)``."""
+
+    @settings(max_examples=200)
+    @given(expressions(max_labels=4, max_leaves=12) | forests().map(tree_expression))
+    def test_matches_the_checking_constructor(self, expr):
+        graph = evaluate(expr).graph
+        checked = Graph(graph.n, _edge_list(graph))
+        # these read no edge set: compare them before the set is derived
+        assert repr(graph) == repr(checked)
+        assert (is_forest(graph), is_tree(graph)) == (is_forest(checked), is_tree(checked))
+        assert graph == checked and checked == graph
+        assert hash(graph) == hash(checked)
+        assert len({graph, checked}) == 1
+        assert neighbor_masks(graph) == neighbor_masks(checked)
+        assert graph._edges is None  # nothing above derived the set
+        assert graph.edges == checked.edges
+        assert type(graph.edges) is frozenset and graph.edges is graph.edges
+
+    def test_commands_derive_no_edge_set(self, monkeypatch, tmp_path, capsys):
+        def refuse(adjacency):
+            raise AssertionError("an evaluated graph derived its edge set")
+
+        monkeypatch.setattr(graphs_module, "_edge_set", refuse)
+        with pytest.raises(AssertionError):
+            evaluate(tree_expression(path_graph(3))).graph.edges
+        runs = []
+        for family in ("cograph", "random-tree"):
+            path = str(tmp_path / f"{family}.json")
+            gen = ["gen", family, "--n", "30", "--seed", "4", "--output", path]
+            runs += [
+                gen,
+                ["solve", "--method", "cwd", "--instance", path],
+                ["kexpr", "eval", "--instance", path],
+                ["kexpr", "check", "--instance", path],
+            ]
+        # the last document is a tree: the tree solver reads it too
+        runs.append(["solve", "--method", "tree", "--instance", path])
+        for argv in runs:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert repr(evaluate(tree_expression(path_graph(3))).graph) == "Graph(n=3, m=2)"
 
 
 class TestRootForest:

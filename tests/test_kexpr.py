@@ -39,7 +39,7 @@ from latss.kexpr import (
     width,
 )
 
-from strategies import expressions, relabeled
+from strategies import expressions, relabeled, repeated_etas
 
 # width-3 construction of the path u-v-x-y-z
 P5_TEXT = (
@@ -490,20 +490,6 @@ class TestCheckIrredundant:
         assert ratio < 8, f"4x the path scaled the check by {ratio:.1f}"
 
 
-def _repeated_etas(rng, leaves):
-    """A random width-3 tree whose insertions are often applied twice."""
-    items = [Leaf(rng.randint(1, 3), str(i)) for i in range(leaves)]
-    while len(items) > 1:
-        merged = Union(items.pop(rng.randrange(len(items))), items.pop())
-        for _ in range(rng.randint(0, 3)):
-            a, b = rng.sample((1, 2, 3), 2)
-            merged = rng.choice((Eta, Eta, Rho))(a, b, merged)
-            if type(merged) is Eta and rng.random() < 0.4:
-                merged = Eta(b, a, merged)
-        items.append(merged)
-    return items[0]
-
-
 def _follow(expr, path):
     for side in path:
         expr = expr.right if side else expr.left if type(expr) is Union else expr.child
@@ -515,7 +501,7 @@ class TestRepeatedInsertions:
         seen = {"violating": 0, "normalized": 0, "partial": 0}
         rng = random.Random(2027)
         for _ in range(400):
-            expr = _repeated_etas(rng, rng.randint(1, 8))
+            expr = repeated_etas(rng, rng.randint(1, 8))
             violations = check_irredundant(expr)
             for v in violations:
                 # each path leads from the root to an eta with its labels
@@ -536,6 +522,120 @@ class TestRepeatedInsertions:
             )
             seen["normalized"] += cleaned is not expr
         assert min(seen.values()) >= 20, seen
+
+
+def _pairwise_evaluate(post):
+    """The evaluation loop as it was when it stored and checked one vertex pair at a time."""
+    names = []
+    edges = set()
+    found = []
+    idle = set()
+    vals = []
+    for i, node in enumerate(post):
+        cls = type(node)
+        if cls is Leaf:
+            vals.append({node.label: [len(names)]})
+            names.append(node.name)
+        elif cls is Union:
+            right = vals.pop()
+            left = vals[-1]
+            if len(left) < len(right):
+                left, right = right, left
+                vals[-1] = left
+            for lab, ids in right.items():
+                if lab in left:
+                    left[lab].extend(ids)
+                else:
+                    left[lab] = ids
+        elif cls is Rho:
+            top = vals[-1]
+            if node.a in top:
+                ids = top.pop(node.a)
+                if node.b in top:
+                    top[node.b].extend(ids)
+                else:
+                    top[node.b] = ids
+        else:
+            a, b = node.a, node.b
+            top = vals[-1]
+            before = len(edges)
+            offending = None
+            for u in top.get(a, ()):
+                for v in top.get(b, ()):
+                    key = (u, v) if u < v else (v, u)
+                    if key in edges:
+                        if offending is None:
+                            offending = (names[u], names[v])
+                    else:
+                        edges.add(key)
+            added = len(edges) != before
+            if not added:
+                idle.add(id(node))
+            if offending is not None:
+                found.append((i, a, b, offending, added))
+    violations, partial = kexpr._violations(post, found)
+    return names, edges, vals[0], violations, idle, partial
+
+
+class TestClassLevelEvaluation:
+    """``_evaluate`` against the pairwise loop, on expressions with labels 1-4."""
+
+    @staticmethod
+    def agree(expr):
+        post = kexpr._checked_postorder(expr)[0]
+        names, edges, classes, violations, idle, partial = _pairwise_evaluate(post)
+        got = kexpr._evaluate(post)
+        assert got[0] == names
+        assert got[2] == classes
+        assert got[3] == violations
+        assert (got[4], got[5]) == (idle, partial)
+        # every pair once, in both lists: no repeat and no one-sided extend
+        expected = [[] for _ in names]
+        for u, v in sorted(edges):
+            expected[u].append(v)
+            expected[v].append(u)
+        assert [sorted(nb) for nb in got[1]] == expected
+        lg = evaluate(expr)
+        assert lg.graph.adjacency == tuple(map(tuple, expected))
+        assert lg.graph.edges == edges
+        labels = [0] * len(names)
+        for lab, ids in classes.items():
+            for v in ids:
+                labels[v] = lab
+        assert (lg.labels, lg.names) == (tuple(labels), tuple(names))
+        assert lg.violations == tuple(violations)
+        return violations, idle, partial
+
+    @settings(max_examples=300)
+    @given(expressions(max_labels=4, max_leaves=14))
+    def test_drawn_expressions(self, expr):
+        self.agree(expr)
+
+    def test_repeated_insertions(self):
+        seen = {"violating": 0, "partial": 0, "idle": 0, "clean": 0}
+        rng = random.Random(35)
+        for _ in range(600):
+            violations, idle, partial = self.agree(
+                repeated_etas(rng, rng.randint(1, 12), k=4)
+            )
+            seen["violating"] += bool(violations)
+            seen["partial"] += partial is not None
+            seen["idle"] += bool(idle)
+            seen["clean"] += not violations
+        assert min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "eta(1,3, eta(3,2, U(1(a), 2(b))))",  # etas on an empty class
+            "eta(2,1, rho(1->4, eta(1,2, U(1(a), 2(b)))))",  # rename onto an empty label
+            "eta(4,2, rho(3->2, eta(3,2, U(U(3(a), 2(b)), 4(c)))))",  # onto a non-empty one
+            "eta(1,2, U(eta(1,2, U(1(u), 2(v))), 2(w)))",  # partially redundant
+            "eta(2,1, eta(2,1, U(U(2(a), 2(b)), U(1(c), 1(d)))))",  # fully redundant
+        ],
+    )
+    def test_hand_built(self, text):
+        self.agree(parse(text))
 
 
 class TestNormalizeIrredundant:
